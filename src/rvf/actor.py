@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bnn_critic
+from .bnn_critic import ensemble_value_grads, ensemble_values
 from .errors import NumericError, ShapeError
 from .math_core import Mlp, Params, backward, forward, load_params, save_params
 
@@ -172,28 +172,8 @@ def actor_loss(policy: TanhGaussianPolicy, critic, states, beta: float,
     mu, log_std, trunk_cache = policy.heads(states)
     actions, log_probs, (sigma, u, t) = _squash(policy, mu, log_std, draws.z_action)
 
-    x = np.concatenate([states, actions], axis=1)
-    n = draws.z_weights.shape[1]
-    M = critic.n_members
-    stacked = bnn_critic._stackable(critic.feature_nets)
-    if stacked:
-        weights, biases = bnn_critic._stack_nets(critic.feature_nets)
-        feats, cache = bnn_critic._stacked_forward(weights, biases, x)
-        means, scales = bnn_critic._head_tensors(critic.heads)
-        w_all = means[:, None, :] + scales[:, None, :] * draws.z_weights
-        values = (np.matmul(feats, w_all[:, :, :-1].transpose(0, 2, 1))
-                  + w_all[:, None, :, -1]).transpose(1, 0, 2)   # (B, M, n)
-    else:
-        values = np.empty((B, M, n))
-        member_eval = []
-        for j in range(M):
-            feats_j, cache_j = forward(critic.feature_nets[j], x)
-            phi = bnn_critic._with_bias(feats_j)
-            w = critic.heads[j].mean + critic.heads[j].scale * draws.z_weights[j]
-            values[:, j, :] = phi @ w.T
-            member_eval.append((cache_j, w))
-
-    flat = values.reshape(B, M * n)
+    values, cache = ensemble_values(critic, states, actions, draws.z_weights)
+    flat = values.reshape(B, -1)                          # (B, M * n)
     argmin = np.argmin(flat, axis=1)
     q_min = flat[np.arange(B), argmin]
     loss = float(np.mean(-q_min + beta * log_probs))
@@ -201,25 +181,10 @@ def actor_loss(policy: TanhGaussianPolicy, critic, states, beta: float,
         raise NumericError("actor loss is non-finite")
 
     # d(loss)/d(action) through the selected sample of the selected member.
-    min_member = argmin // n
-    min_draw = argmin % n
-    if stacked:
-        out_grad = np.zeros((M, B, critic.d))
-        out_grad[min_member, np.arange(B)] = \
-            (-1.0 / B) * w_all[min_member, min_draw, :-1]
-        _, _, input_grads = bnn_critic._stacked_backward(weights, cache, out_grad)
-        action_grad = input_grads.sum(axis=0)[:, policy.state_dim:]
-    else:
-        action_grad = np.zeros((B, policy.action_dim))
-        for j in range(M):
-            rows = np.nonzero(min_member == j)[0]
-            if rows.size == 0:
-                continue
-            cache_j, w = member_eval[j]
-            out_grad = np.zeros((B, critic.d))
-            out_grad[rows] = (-1.0 / B) * w[min_draw[rows], :-1]
-            _, input_grad = backward(critic.feature_nets[j], cache_j, out_grad)
-            action_grad += input_grad[:, policy.state_dim:]
+    dvalues = np.zeros_like(flat)
+    dvalues[np.arange(B), argmin] = -1.0 / B
+    _, input_grad = ensemble_value_grads(cache, dvalues.reshape(values.shape))
+    action_grad = input_grad[:, policy.state_dim:]
 
     # Chain into the trunk heads: u = mu + sigma * z, a = offset + scale*tanh(u),
     # d log pi / du = 2 tanh(u), d log pi / d log_std = -1 (plus the u path).

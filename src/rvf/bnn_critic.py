@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .errors import NumericError, ShapeError, UsageError
-from .math_core import Mlp, Params, backward, forward, load_params, save_params
+from .math_core import _LN_EPS, Mlp, Params, load_params, save_params
 
 
 def softplus(x):
@@ -192,64 +192,84 @@ class EnsembleCritic:
 
 
 # ---------------------------------------------------------------------------
-# Stacked fast path: when every member is a plain relu stack (relu final, no
-# layer norm), the whole ensemble runs through broadcasted (M, B, *) matmuls.
-# The math is identical to per-member forward/backward and is covered by the
-# same finite-difference checks.
-
-def _stackable(nets: list[Mlp]) -> bool:
-    first = nets[0]
-    return all(net.widths == first.widths and net.activation == "relu"
-               and net.final_activation == "relu" and not net.layer_norm
-               for net in nets)
-
+# Ensemble evaluation.  Every member's feature net has the same widths and
+# relu units, with affine layer norm on the hidden layers when enabled, so the
+# whole ensemble runs as one stack of broadcasted (M, B, *) matmuls.
+# ensemble_values and ensemble_value_grads are the critic's only forward and
+# backward: sampled values, the critic loss, and the actor's action gradient
+# all go through them.  math_core.forward/backward, one member at a time,
+# remain the reference the tests compare them against.
 
 def _stack_nets(nets: list[Mlp]):
-    weights = [np.stack([net.weights[i] for net in nets])
-               for i in range(nets[0].n_layers)]
-    biases = [np.stack([net.biases[i] for net in nets])[:, None, :]
-              for i in range(nets[0].n_layers)]
-    return weights, biases
+    """Member-stacked parameters: per layer, weights (M, din, dout) and biases
+    (M, 1, dout); per hidden layer, layer-norm gains and shifts (M, 1, dout)
+    (empty lists without layer norm)."""
+    def per_layer(arrays) -> list[np.ndarray]:
+        return [np.array(group) for group in zip(*arrays)]
+
+    weights = per_layer(net.weights for net in nets)
+    biases = [b[:, None, :] for b in per_layer(net.biases for net in nets)]
+    if not nets[0].layer_norm:
+        return weights, biases, [], []
+    gains = [g[:, None, :] for g in per_layer(net.ln_gains for net in nets)]
+    shifts = [b[:, None, :] for b in per_layer(net.ln_biases for net in nets)]
+    return weights, biases, gains, shifts
 
 
-def _stacked_forward(weights, biases, x: np.ndarray):
-    """All-relu forward of every member on a shared (B, d0) input."""
+def _stacked_forward(stack, x: np.ndarray):
+    """Relu forward of every member on a shared (B, d0) input; layer norm
+    (population variance, _LN_EPS) on the hidden layers that have gains."""
+    weights, biases, gains, shifts = stack
     a = x
-    pre, post = [], []
-    for W, b in zip(weights, biases):
+    pre, post, norms = [], [], []
+    for i, (W, b) in enumerate(zip(weights, biases)):
         h = np.matmul(a, W) + b        # (M, B, dout)
+        if i < len(gains):
+            # Same operations as np.var, sharing the centered values.
+            centered = h - h.mean(axis=2, keepdims=True)
+            var = (centered * centered).mean(axis=2, keepdims=True)
+            inv_std = 1.0 / np.sqrt(var + _LN_EPS)
+            y = centered * inv_std
+            norms.append((y, inv_std))
+            h = gains[i] * y + shifts[i]
         a = np.maximum(h, 0.0)
         pre.append(h)
         post.append(a)
-    return a, (x, pre, post)
+    return a, (x, pre, post, norms)
 
 
-def _stacked_backward(weights, cache, g: np.ndarray):
-    """Backward through the stacked relu forward; g has shape (M, B, d_last).
+def _stacked_backward(stack, cache, g: np.ndarray):
+    """Backward through _stacked_forward; g has shape (M, B, d_last).
 
-    Returns per-layer weight/bias gradients, each stacked over members, and
-    the per-member input gradient (M, B, d0).
+    Returns the parameter gradients keyed as in Mlp.get_params, each stacked
+    over members, and the per-member input gradient (M, B, d0).
     """
-    x, pre, post = cache
-    n_layers = len(weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    for i in reversed(range(n_layers)):
+    weights, _, gains, _ = stack
+    x, pre, post, norms = cache
+    grads: Params = {}
+    for i in reversed(range(len(weights))):
         g = g * (pre[i] > 0.0)
+        if i < len(gains):
+            y, inv_std = norms[i]
+            grads[f"ln_b{i}"] = g.sum(axis=1)
+            grads[f"ln_g{i}"] = (g * y).sum(axis=1)
+            gy = g * gains[i]
+            g = inv_std * (gy - gy.mean(axis=2, keepdims=True)
+                           - y * (gy * y).mean(axis=2, keepdims=True))
         inp = post[i - 1] if i > 0 else x
         if inp.ndim == 2:
-            grads_w[i] = np.matmul(inp.T, g)
+            grads[f"w{i}"] = np.matmul(inp.T, g)
         else:
-            grads_w[i] = np.matmul(inp.transpose(0, 2, 1), g)
-        grads_b[i] = g.sum(axis=1)
+            grads[f"w{i}"] = np.matmul(inp.transpose(0, 2, 1), g)
+        grads[f"b{i}"] = g.sum(axis=1)
         g = np.matmul(g, weights[i].transpose(0, 2, 1))
-    return grads_w, grads_b, g
+    return grads, g
 
 
 def _head_tensors(heads: list[GaussianLastLayer]):
-    means = np.stack([h.mean for h in heads])
-    scales = np.stack([h.scale for h in heads])
-    return means, scales
+    """Member-stacked head means, raw scales and scales, each (M, d+1)."""
+    raws = np.array([h.raw_scale for h in heads])
+    return np.array([h.mean for h in heads]), raws, softplus(raws)
 
 
 def _stack_inputs(critic: EnsembleCritic, states, actions) -> np.ndarray:
@@ -263,8 +283,56 @@ def _stack_inputs(critic: EnsembleCritic, states, actions) -> np.ndarray:
     return np.concatenate([states, actions], axis=1)
 
 
-def _with_bias(features: np.ndarray) -> np.ndarray:
-    return np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
+@dataclass
+class EnsembleCache:
+    """What ensemble_value_grads needs from one ensemble_values call."""
+
+    stack: tuple
+    activations: tuple
+    w: np.ndarray    # (members, n, d+1) sampled head weights
+    z: np.ndarray    # (members, n, d+1) head noise
+
+
+def ensemble_values(critic: EnsembleCritic, states, actions, z: np.ndarray,
+                    use_target: bool = False) -> tuple[np.ndarray, EnsembleCache]:
+    """Value samples phi(s,a)^T w of every member under head noise z
+    (members, n, d+1): returns values (B, members, n) and the cache for
+    ensemble_value_grads."""
+    x = _stack_inputs(critic, states, actions)
+    nets = critic.target_feature_nets if use_target else critic.feature_nets
+    heads = critic.target_heads if use_target else critic.heads
+    stack = _stack_nets(nets)
+    feats, cache = _stacked_forward(stack, x)                  # (M, B, d)
+    means, _, scales = _head_tensors(heads)
+    w = means[:, None, :] + scales[:, None, :] * z            # (M, n, d+1)
+    q = np.matmul(feats, w[:, :, :-1].transpose(0, 2, 1)) + w[:, None, :, -1]
+    # A (B, M, n) view of the (M, B, n) product; the backward transposes back.
+    return q.transpose(1, 0, 2), EnsembleCache(stack, cache, w, z)
+
+
+def ensemble_value_grads(cache: EnsembleCache,
+                         dvalues: np.ndarray) -> tuple[Params, np.ndarray]:
+    """Backpropagate dloss/dvalues (B, members, n) through ensemble_values.
+
+    Returns (grads, input_grad).  grads maps "feature/<param>", "head/mean"
+    and "head/scale" (with respect to softplus(raw_scale)) to arrays stacked
+    over members; input_grad (B, state_dim + action_dim) is the gradient with
+    respect to the concatenated (state, action) input, summed over members.
+    """
+    dq = dvalues.transpose(1, 0, 2)                            # (M, B, n)
+    feats = cache.activations[2][-1]
+    z = cache.z
+    dw_feat = np.matmul(dq.transpose(0, 2, 1), feats)          # (M, n, d)
+    dw_bias = dq.sum(axis=1)                                   # (M, n)
+    feat_grads, input_grads = _stacked_backward(
+        cache.stack, cache.activations, np.matmul(dq, cache.w[:, :, :-1]))
+    grads = {f"feature/{k}": v for k, v in feat_grads.items()}
+    grads["head/mean"] = np.concatenate(
+        [dw_feat.sum(axis=1), dw_bias.sum(axis=1)[:, None]], axis=1)
+    grads["head/scale"] = np.concatenate(
+        [(dw_feat * z[:, :, :-1]).sum(axis=1),
+         (dw_bias * z[:, :, -1]).sum(axis=1)[:, None]], axis=1)
+    return grads, input_grads.sum(axis=0)
 
 
 def q_samples(critic: EnsembleCritic, states, actions, n: int,
@@ -275,24 +343,10 @@ def q_samples(critic: EnsembleCritic, states, actions, n: int,
     Passing a recorded (members, n, d+1) noise array replays those exact
     weight draws instead of consuming the generator.
     """
-    x = _stack_inputs(critic, states, actions)
-    nets = critic.target_feature_nets if use_target else critic.feature_nets
-    heads = critic.target_heads if use_target else critic.heads
     if draws is None:
         draws = rng.standard_normal((critic.n_members, n, critic.d + 1))
-    if _stackable(nets):
-        feats, _ = _stacked_forward(*_stack_nets(nets), x)   # (M, B, d)
-        means, scales = _head_tensors(heads)
-        w = means[:, None, :] + scales[:, None, :] * draws   # (M, n, d+1)
-        q = np.matmul(feats, w[:, :, :-1].transpose(0, 2, 1)) + w[:, None, :, -1]
-        return QSampleBatch(q.transpose(1, 0, 2).copy(), draws)
-    values = np.empty((x.shape[0], critic.n_members, draws.shape[1]))
-    for j in range(critic.n_members):
-        feats, _ = forward(nets[j], x)
-        phi = _with_bias(feats)
-        w = heads[j].mean + heads[j].scale * draws[j]
-        values[:, j, :] = phi @ w.T
-    return QSampleBatch(values, draws)
+    values, _ = ensemble_values(critic, states, actions, draws, use_target)
+    return QSampleBatch(values.copy(), draws)
 
 
 def pessimistic_target(critic: EnsembleCritic, rewards, next_states, dones,
@@ -342,6 +396,16 @@ def _pooled_std_grads(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return std, grad.reshape(values.shape)
 
 
+def pooled_stds(values: np.ndarray, pooling: str) -> np.ndarray:
+    """Per-row sample spread of (B, M, n) values: the std of all M*n samples
+    ("joint") or the members' mean std over their own n draws ("per-member")."""
+    if pooling == "joint":
+        return _pooled_std_grads(values)[0]
+    B, M, n = values.shape
+    std, _ = _pooled_std_grads(values.reshape(B * M, 1, n))
+    return std.reshape(B, M).mean(axis=1)
+
+
 def ensemble_critic_losses(critic: EnsembleCritic, states, actions, targets,
                            ood_states, ood_actions, eta_q: float,
                            eta_ood: float, kl_scale: float,
@@ -366,157 +430,45 @@ def ensemble_critic_losses(critic: EnsembleCritic, states, actions, targets,
         draws = draw_critic_noise(critic, n, rng)
     members = list(range(critic.n_members)) if members is None else list(members)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    x_data = _stack_inputs(critic, states, actions)
-    if targets.shape[0] != x_data.shape[0]:
+    values, cache = ensemble_values(critic, states, actions, draws.z_data)
+    if targets.shape[0] != values.shape[0]:
         raise ShapeError("targets do not match the batch size")
     if not np.all(np.isfinite(targets)):
         raise NumericError("critic loss is non-finite (bellman term: bad targets)")
 
-    have_ood = ood_states is not None and len(np.atleast_1d(ood_states)) > 0
-    x_ood_arr = _stack_inputs(critic, ood_states, ood_actions) if have_ood else None
-    if _stackable(critic.feature_nets):
-        return _losses_stacked(critic, x_data, targets, x_ood_arr, eta_q,
-                               eta_ood, kl_scale, draws, pooling, members)
-
-    ood_eval = {}
-    ood_values = None
-    if have_ood:
-        x_ood = x_ood_arr
-        n_draws = draws.z_ood.shape[1]
-        ood_values = np.empty((x_ood.shape[0], critic.n_members, n_draws))
-        for i in range(critic.n_members):
-            feats, cache = forward(critic.feature_nets[i], x_ood)
-            phi = _with_bias(feats)
-            w = critic.heads[i].mean + critic.heads[i].scale * draws.z_ood[i]
-            ood_values[:, i, :] = phi @ w.T
-            if i in members:
-                ood_eval[i] = (phi, w, cache)
-        if pooling == "joint":
-            joint_std, joint_grad = _pooled_std_grads(ood_values)
-
-    results = {}
-    for j in members:
-        head = critic.heads[j]
-        sigma = head.scale
-        feats, cache = forward(critic.feature_nets[j], x_data)
-        phi = _with_bias(feats)
-        w = head.mean + sigma * draws.z_data[j]          # (n, d+1)
-        q = phi @ w.T                                    # (B, n)
-        err = q - targets[:, None]
-        bellman = float(np.mean(err ** 2))
-        kl = kl_to_prior(head)
-
-        # Squared-residual term, mean over rows and draws.
-        dq = (2.0 * eta_q / err.size) * err
-        dw = dq.T @ phi
-        d_mean = dw.sum(axis=0)
-        d_sigma = (dw * draws.z_data[j]).sum(axis=0)
-        feat_grads, _ = backward(critic.feature_nets[j], cache, dq @ w[:, :-1])
-
-        # KL term.
-        d_mean = d_mean + eta_q * kl_scale * head.mean
-        d_sigma = d_sigma + eta_q * kl_scale * (sigma - 1.0 / sigma)
-
-        ood_std_mean = 0.0
-        if have_ood:
-            if pooling == "joint":
-                std, dq_ood = joint_std, joint_grad[:, j, :]
-            else:
-                std, g = _pooled_std_grads(ood_values[:, j:j + 1, :])
-                dq_ood = g[:, 0, :]
-            ood_std_mean = float(std.mean())
-            dq_ood = (-eta_ood / std.shape[0]) * dq_ood   # (B_ood, n)
-            phi_o, w_o, cache_o = ood_eval[j]
-            dw_o = dq_ood.T @ phi_o
-            d_mean = d_mean + dw_o.sum(axis=0)
-            d_sigma = d_sigma + (dw_o * draws.z_ood[j]).sum(axis=0)
-            fg_ood, _ = backward(critic.feature_nets[j], cache_o, dq_ood @ w_o[:, :-1])
-            feat_grads = {k: feat_grads[k] + fg_ood[k] for k in feat_grads}
-
-        loss = eta_q * (bellman + kl_scale * kl) - eta_ood * ood_std_mean
-        if not np.isfinite(loss):
-            term = "bellman" if not np.isfinite(bellman) else (
-                "kl" if not np.isfinite(kl) else "ood-std")
-            raise NumericError(f"critic loss for member {j} is non-finite ({term} term)")
-        grads = {f"feature/{k}": v for k, v in feat_grads.items()}
-        grads["head/mean"] = d_mean
-        grads["head/raw_scale"] = d_sigma * expit(head.raw_scale)
-        results[j] = (loss, grads, {"bellman": bellman, "kl": kl,
-                                    "ood_std": ood_std_mean, "draws": draws})
-    return results
-
-
-def _per_member_std_grads(values_mbn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Population std over the draw axis of (M, B, n) values, per member."""
-    n = values_mbn.shape[2]
-    centered = values_mbn - values_mbn.mean(axis=2, keepdims=True)
-    std = np.sqrt((centered ** 2).mean(axis=2))          # (M, B)
-    safe = np.where(std > 0.0, std, 1.0)
-    grad = centered / (n * safe[:, :, None])
-    grad[std == 0.0] = 0.0
-    return std, grad
-
-
-def _losses_stacked(critic: EnsembleCritic, x_data, targets, x_ood, eta_q,
-                    eta_ood, kl_scale, draws: CriticDraws, pooling, members):
-    """Whole-ensemble critic loss via broadcasted matmuls; math identical to
-    the per-member path."""
-    B = x_data.shape[0]
-    n = draws.z_data.shape[1]
-    weights, biases = _stack_nets(critic.feature_nets)
-    means, scales = _head_tensors(critic.heads)           # (M, d+1)
-    raws = np.stack([h.raw_scale for h in critic.heads])
-
-    feats, cache = _stacked_forward(weights, biases, x_data)   # (M, B, d)
-    w = means[:, None, :] + scales[:, None, :] * draws.z_data  # (M, n, d+1)
-    q = np.matmul(feats, w[:, :, :-1].transpose(0, 2, 1)) + w[:, None, :, -1]
-    err = q - targets[None, :, None]                           # (M, B, n)
+    q = values.transpose(1, 0, 2)                              # (M, B, n)
+    M, B, n = q.shape
+    err = q - targets[None, :, None]
     bellman_each = (err ** 2).mean(axis=(1, 2))
+    grads, _ = ensemble_value_grads(
+        cache, ((2.0 * eta_q / (B * n)) * err).transpose(1, 0, 2))
 
-    dq = (2.0 * eta_q / (B * n)) * err
-    dw_feat = np.matmul(dq.transpose(0, 2, 1), feats)          # (M, n, d)
-    dw_bias = dq.sum(axis=1)                                   # (M, n)
-    d_mean = np.concatenate([dw_feat.sum(axis=1),
-                             dw_bias.sum(axis=1)[:, None]], axis=1)
-    d_sigma = np.concatenate(
-        [(dw_feat * draws.z_data[:, :, :-1]).sum(axis=1),
-         (dw_bias * draws.z_data[:, :, -1]).sum(axis=1)[:, None]], axis=1)
-    gw, gb, _ = _stacked_backward(weights, cache,
-                                  np.matmul(dq, w[:, :, :-1]))
-
+    means, raws, scales = _head_tensors(critic.heads)         # (M, d+1)
     var = scales ** 2
     kl_each = 0.5 * (var + means ** 2 - 1.0 - np.log(var)).sum(axis=1)
-    d_mean = d_mean + eta_q * kl_scale * means
-    d_sigma = d_sigma + eta_q * kl_scale * (scales - 1.0 / scales)
+    grads["head/mean"] = grads["head/mean"] + eta_q * kl_scale * means
+    grads["head/scale"] = grads["head/scale"] \
+        + eta_q * kl_scale * (scales - 1.0 / scales)
 
-    ood_std_each = np.zeros(critic.n_members)
-    if x_ood is not None and x_ood.shape[0] > 0:
-        B_ood = x_ood.shape[0]
-        feats_o, cache_o = _stacked_forward(weights, biases, x_ood)
-        w_o = means[:, None, :] + scales[:, None, :] * draws.z_ood
-        q_o = np.matmul(feats_o, w_o[:, :, :-1].transpose(0, 2, 1)) \
-            + w_o[:, None, :, -1]                              # (M, B_ood, n)
+    ood_std_each = np.zeros(M)
+    have_ood = ood_states is not None and len(np.atleast_1d(ood_states)) > 0
+    if have_ood:
+        values_o, cache_o = ensemble_values(critic, ood_states, ood_actions,
+                                            draws.z_ood)
+        B_ood, _, n_ood = values_o.shape
         if pooling == "joint":
-            std, grad = _pooled_std_grads(q_o.transpose(1, 0, 2).copy())
-            dq_o = grad.transpose(1, 0, 2)
+            std, dvalues = _pooled_std_grads(values_o)
             ood_std_each[:] = std.mean()
         else:
-            std, dq_o = _per_member_std_grads(q_o)
-            ood_std_each = std.mean(axis=1)
-        dq_o = (-eta_ood / B_ood) * dq_o
-        dw_feat_o = np.matmul(dq_o.transpose(0, 2, 1), feats_o)
-        dw_bias_o = dq_o.sum(axis=1)
-        d_mean = d_mean + np.concatenate(
-            [dw_feat_o.sum(axis=1), dw_bias_o.sum(axis=1)[:, None]], axis=1)
-        d_sigma = d_sigma + np.concatenate(
-            [(dw_feat_o * draws.z_ood[:, :, :-1]).sum(axis=1),
-             (dw_bias_o * draws.z_ood[:, :, -1]).sum(axis=1)[:, None]], axis=1)
-        gw_o, gb_o, _ = _stacked_backward(weights, cache_o,
-                                          np.matmul(dq_o, w_o[:, :, :-1]))
-        gw = [a + b for a, b in zip(gw, gw_o)]
-        gb = [a + b for a, b in zip(gb, gb_o)]
+            # Each member's draws at one row form a pool of their own.
+            q_o = values_o.transpose(1, 0, 2)                  # (M, B_ood, n)
+            std, g = _pooled_std_grads(q_o.reshape(M * B_ood, 1, n_ood))
+            ood_std_each = std.reshape(M, B_ood).mean(axis=1)
+            dvalues = g.reshape(M, B_ood, n_ood).transpose(1, 0, 2)
+        grads_o, _ = ensemble_value_grads(cache_o, (-eta_ood / B_ood) * dvalues)
+        grads = {k: grads[k] + grads_o[k] for k in grads}
 
-    d_raw = d_sigma * expit(raws)
+    grads["head/raw_scale"] = grads.pop("head/scale") * expit(raws)
     losses = eta_q * (bellman_each + kl_scale * kl_each) - eta_ood * ood_std_each
     results = {}
     for j in members:
@@ -524,13 +476,7 @@ def _losses_stacked(critic: EnsembleCritic, x_data, targets, x_ood, eta_q,
             term = "bellman" if not np.isfinite(bellman_each[j]) else (
                 "kl" if not np.isfinite(kl_each[j]) else "ood-std")
             raise NumericError(f"critic loss for member {j} is non-finite ({term} term)")
-        grads = {}
-        for i in range(len(gw)):
-            grads[f"feature/w{i}"] = gw[i][j]
-            grads[f"feature/b{i}"] = gb[i][j]
-        grads["head/mean"] = d_mean[j]
-        grads["head/raw_scale"] = d_raw[j]
-        results[j] = (float(losses[j]), grads,
+        results[j] = (float(losses[j]), {k: v[j] for k, v in grads.items()},
                       {"bellman": float(bellman_each[j]), "kl": float(kl_each[j]),
                        "ood_std": float(ood_std_each[j]), "draws": draws})
     return results

@@ -313,6 +313,8 @@ def ood_probe_sets(dataset: OfflineDataset, env, policy=None,
     """
     if len(dataset) == 0:
         raise ConfigError("cannot build probe sets from an empty dataset")
+    if n_pairs < 1:
+        raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(dataset), size=min(n_pairs, len(dataset)), replace=False)
     in_states = dataset.states[idx].copy()

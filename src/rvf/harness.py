@@ -20,7 +20,7 @@ import numpy as np
 from .actor import TanhGaussianPolicy, actor_loss, draw_actor_noise, ood_actions
 from .bnn_critic import (EnsembleCritic, draw_critic_noise,
                          ensemble_critic_losses, kl_to_prior,
-                         pessimistic_target, q_samples)
+                         pessimistic_target, pooled_stds, q_samples)
 from .envs_data import OfflineDataset, ProbeSet, make_env
 from .errors import ConfigError, NumericError
 from .math_core import AdamState, adam_step, soft_update
@@ -43,7 +43,6 @@ class TrainConfig:
     beta: float = 0.2
     gamma: float = 0.99
     rho: float = 0.995               # target Polyak rate
-    ridge: float = 1.0               # ridge coefficient for the theory suite
     critic_lr: float = 3e-4
     actor_lr: float = 3e-4
     batch_size: int = 256
@@ -54,7 +53,6 @@ class TrainConfig:
     pooling: str = "joint"           # spread pooling: joint | per-member
     weight_decay: float = 0.0
     layer_norm: bool = False
-    dataset_path: str | None = None
 
     def validate(self) -> None:
         if self.ensembles < 1:
@@ -73,8 +71,8 @@ class TrainConfig:
             raise ConfigError("eta_ood must be nonnegative")
         if self.beta < 0.0:
             raise ConfigError("beta must be nonnegative")
-        if self.ridge <= 0.0 or self.critic_lr <= 0.0 or self.actor_lr <= 0.0:
-            raise ConfigError("ridge and learning rates must be positive")
+        if self.critic_lr <= 0.0 or self.actor_lr <= 0.0:
+            raise ConfigError("learning rates must be positive")
         if self.batch_size < 1 or self.gradient_steps < 0 or self.eval_interval < 1:
             raise ConfigError("bad batch_size / gradient_steps / eval_interval")
         if self.eval_episodes < 1:
@@ -146,13 +144,6 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
-def _pooled_stds(values: np.ndarray, pooling: str) -> np.ndarray:
-    """Per-row sample spread of a (B, M, n) tensor under a pooling mode."""
-    if pooling == "joint":
-        return values.reshape(values.shape[0], -1).std(axis=1)
-    return values.std(axis=2).mean(axis=1)
-
-
 def evaluate_policy(env, actor, episodes: int, seed) -> tuple[float, float]:
     """Deterministic-mode rollouts; mean and population std of the
     undiscounted episode return."""
@@ -190,8 +181,8 @@ def uncertainty_report(critic: EnsembleCritic, probe_in: ProbeSet,
                       draws=shared)
     qs_ood = q_samples(critic, probe_ood.states, probe_ood.actions, n, None,
                        draws=shared)
-    in_std = float(_pooled_stds(qs_in.values, pooling).mean())
-    ood_std = float(_pooled_stds(qs_ood.values, pooling).mean())
+    in_std = float(pooled_stds(qs_in.values, pooling).mean())
+    ood_std = float(pooled_stds(qs_ood.values, pooling).mean())
     ratio = None if in_std == 0.0 else ood_std / in_std
     return {"in_dist_std": in_std, "ood_std": ood_std, "ratio": ratio}
 
@@ -216,12 +207,12 @@ def _collect_metrics(config: TrainConfig, dataset: OfflineDataset, env,
     qs_in = q_samples(critic, states, actions, config.posterior_samples, rng)
     bellman = float(np.mean((qs_in.values - targets[:, None, None]) ** 2))
     kl = float(np.mean([kl_to_prior(h) for h in critic.heads]))
-    in_std = float(_pooled_stds(qs_in.values, config.pooling).mean())
+    in_std = float(pooled_stds(qs_in.values, config.pooling).mean())
     ood_a = ood_actions(policy, states, config.ood_actions_per_state, rng)
     ood_s = np.repeat(states, config.ood_actions_per_state, axis=0)
     qs_ood = q_samples(critic, ood_s, ood_a.reshape(-1, ood_a.shape[2]),
                        config.posterior_samples, rng)
-    ood_std = float(_pooled_stds(qs_ood.values, config.pooling).mean())
+    ood_std = float(pooled_stds(qs_ood.values, config.pooling).mean())
     ret_mean, ret_std = evaluate_policy(env, policy, config.eval_episodes,
                                         [config.seed, _EVAL_STREAM, row])
     return MetricsRecord(step, bellman, kl, ood_std, in_std,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import actor, bnn_critic, linear_mdp
 from .errors import ConfigError, NumericError
-from .math_core import Params
+from .math_core import Params, forward
 
 
 @dataclass
@@ -278,22 +278,56 @@ def _check_kl(rng) -> list[OracleReport]:
     return [OracleReport.check("kl-closed-form-vs-quadrature", worst, 0.0, 1e-6)]
 
 
+# Smallest |pre-activation| allowed at any relu unit the gradient checks
+# evaluate; a unit within the finite-difference step of its kink reads a
+# one-sided slope and makes the check ill-posed.
+_KINK_MARGIN = 1e-3
+
+
+def _relu_margin(net, x) -> float:
+    """Smallest |pre-activation| over the net's relu units at inputs x."""
+    _, cache = forward(net, x)
+    acts = [net.activation] * (net.n_layers - 1) + [net.final_activation]
+    return min(float(np.min(np.abs(h)))
+               for h, act in zip(cache.pre_act, acts) if act == "relu")
+
+
 def _tiny_problem(rng):
-    critic = bnn_critic.EnsembleCritic.init(
-        state_dim=2, action_dim=1, hidden_widths=(8, 8), n_members=2, rng=rng)
-    policy = actor.TanhGaussianPolicy.init(2, 1, (8, 8), rng)
+    """A small critic/actor problem with nonzero biases and its frozen noise,
+    redrawn until every relu unit at the points the gradient checks evaluate
+    (critic inputs from the data, the OOD actions and the policy's actions;
+    the actor trunk at the states) is at least _KINK_MARGIN from its kink."""
     B, n, k = 6, 3, 2
-    states = rng.normal(size=(B, 2))
-    actions = rng.uniform(-1, 1, size=(B, 1))
-    targets = rng.normal(size=B)
-    ood_states = np.repeat(states, k, axis=0)
-    ood_actions_ = rng.uniform(-1, 1, size=(B * k, 1))
-    return critic, policy, states, actions, targets, ood_states, ood_actions_, n
+    for _ in range(1000):
+        critic = bnn_critic.EnsembleCritic.init(
+            state_dim=2, action_dim=1, hidden_widths=(8, 8), n_members=2, rng=rng)
+        policy = actor.TanhGaussianPolicy.init(2, 1, (8, 8), rng)
+        for net in [*critic.feature_nets, policy.trunk]:
+            for b in net.biases:
+                b[:] = rng.normal(scale=0.1, size=b.shape)
+        states = rng.normal(size=(B, 2))
+        actions = rng.uniform(-1, 1, size=(B, 1))
+        targets = rng.normal(size=B)
+        ood_states = np.repeat(states, k, axis=0)
+        ood_actions_ = rng.uniform(-1, 1, size=(B * k, 1))
+        critic_draws = bnn_critic.draw_critic_noise(critic, n, rng)
+        actor_draws = actor.draw_actor_noise(policy, critic, B, n, rng)
+        mu, log_std, _ = policy.heads(states)
+        pi_actions = policy.action_offset + policy.action_scale * np.tanh(
+            mu + np.exp(log_std) * actor_draws.z_action)
+        inputs = np.concatenate([np.hstack([states, actions]),
+                                 np.hstack([ood_states, ood_actions_]),
+                                 np.hstack([states, pi_actions])])
+        margins = [_relu_margin(net, inputs) for net in critic.feature_nets]
+        margins.append(_relu_margin(policy.trunk, states))
+        if min(margins) >= _KINK_MARGIN:
+            return (critic, policy, states, actions, targets, ood_states,
+                    ood_actions_, critic_draws, actor_draws)
+    raise NumericError("no tiny gradient-check problem clear of relu kinks")
 
 
 def _check_critic_grad(rng) -> list[OracleReport]:
-    critic, _, states, actions, targets, ood_s, ood_a, n = _tiny_problem(rng)
-    draws = bnn_critic.draw_critic_noise(critic, n, rng)
+    critic, _, states, actions, targets, ood_s, ood_a, draws, _ = _tiny_problem(rng)
     member = 0
     _, grads, _ = bnn_critic.critic_loss(
         critic, member, states, actions, targets, ood_s, ood_a,
@@ -312,8 +346,7 @@ def _check_critic_grad(rng) -> list[OracleReport]:
 
 
 def _check_actor_grad(rng) -> list[OracleReport]:
-    critic, policy, states, _, _, _, _, n = _tiny_problem(rng)
-    draws = actor.draw_actor_noise(policy, critic, states.shape[0], n, rng)
+    critic, policy, states, _, _, _, _, _, draws = _tiny_problem(rng)
     _, grads, _ = actor.actor_loss(policy, critic, states, beta=0.3, draws=draws)
 
     def loss_fn(params):

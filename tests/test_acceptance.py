@@ -2,11 +2,14 @@
 
 Criteria 1-7 are exact-identity / Monte-Carlo checks and finish in seconds.
 Criteria 8-10 train full point-mass runs (several minutes each; results are
-cached and shared between criteria).  Each test prints one pass/fail line;
+cached and shared between criteria, and criteria 8-9 train theirs two at a
+time in worker processes).  Each test prints one pass/fail line;
 run with `pytest tests/test_acceptance.py -v -s` to see them live.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,23 +61,38 @@ def study_cache():
     return {}
 
 
-def _study_arm(cache: dict, seed: int, arm: str) -> dict:
-    key = (seed, arm)
-    if key not in cache:
-        env = make_env("point-mass-1d")
-        if ("dataset", seed) not in cache:
-            cache[("dataset", seed)] = generate_dataset(
-                env, "mediocre", episodes=200, seed=seed)
-        dataset = cache[("dataset", seed)]
-        cfg = study_config(seed, **ARM_OVERRIDES[arm])
-        result = train(cfg, dataset)
-        probe_in, probe_ood = ood_probe_sets(dataset, env, n_pairs=256, seed=0)
-        ret_mean, _ = evaluate_policy(env, result.policy, 10, [seed, 12345])
-        report = uncertainty_report(result.critic, probe_in, probe_ood,
-                                    cfg.posterior_samples)
-        cache[key] = {"return": ret_mean, "ratio": report["ratio"],
-                      "behavior_return": float(dataset.episode_returns().mean())}
-    return cache[key]
+def _train_arm(key: tuple[int, str]) -> dict:
+    seed, arm = key
+    env = make_env("point-mass-1d")
+    dataset = generate_dataset(env, "mediocre", episodes=200, seed=seed)
+    cfg = study_config(seed, **ARM_OVERRIDES[arm])
+    result = train(cfg, dataset)
+    probe_in, probe_ood = ood_probe_sets(dataset, env, n_pairs=256, seed=0)
+    ret_mean, _ = evaluate_policy(env, result.policy, 10, [seed, 12345])
+    report = uncertainty_report(result.critic, probe_in, probe_ood,
+                                cfg.posterior_samples)
+    return {"return": ret_mean, "ratio": report["ratio"],
+            "behavior_return": float(dataset.episode_returns().mean())}
+
+
+def _study_arms(cache: dict, keys) -> None:
+    """Train the (seed, arm) runs missing from the cache, two at a time.
+
+    Every run is deterministic given its seed, so the process it runs in does
+    not change its result.  The workers are fresh interpreters with
+    single-threaded BLAS: these matrices are too small to gain from BLAS
+    threads, and two processes that each start them on two cores run several
+    times slower than one.
+    """
+    missing = [key for key in keys if key not in cache]
+    if not missing:
+        return
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(
+                min(2, len(missing)),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            cache.update(zip(missing, pool.map(_train_arm, missing)))
 
 
 class TestCriterion01PosteriorStdIdentity:
@@ -257,9 +275,11 @@ class TestCriterion08UncertaintyOrdering:
         t0 = time.perf_counter()
         details = []
         ok = True
+        _study_arms(study_cache, [(seed, arm) for arm in ("full", "no_repulsion")
+                                  for seed in SEEDS])
         for seed in SEEDS:
-            full = _study_arm(study_cache, seed, "full")
-            bare = _study_arm(study_cache, seed, "no_repulsion")
+            full = study_cache[(seed, "full")]
+            bare = study_cache[(seed, "no_repulsion")]
             ratio_full = full["ratio"]
             ratio_bare = bare["ratio"] if bare["ratio"] is not None else 0.0
             ok = ok and ratio_full is not None and ratio_full >= 1.5 \
@@ -274,9 +294,11 @@ class TestCriterion09PolicyQuality:
         t0 = time.perf_counter()
         details = []
         ok = True
+        _study_arms(study_cache, [(seed, arm) for arm in ("full", "no_pessimism")
+                                  for seed in SEEDS])
         for seed in SEEDS:
-            full = _study_arm(study_cache, seed, "full")
-            ablation = _study_arm(study_cache, seed, "no_pessimism")
+            full = study_cache[(seed, "full")]
+            ablation = study_cache[(seed, "no_pessimism")]
             ok = ok and full["return"] >= full["behavior_return"] \
                 and full["return"] >= ablation["return"]
             details.append(f"seed {seed}: full {full['return']:.1f} vs "

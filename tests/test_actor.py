@@ -135,8 +135,10 @@ class TestActorLoss:
         assert loss == pytest.approx(float(np.mean(-q + 0.4 * log_probs)),
                                      abs=1e-9)
 
-    def test_gradients_match_finite_differences(self):
-        critic = EnsembleCritic.init(2, 1, (6, 6), 2, np.random.default_rng(13))
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_gradients_match_finite_differences(self, layer_norm):
+        critic = EnsembleCritic.init(2, 1, (6, 6), 2, np.random.default_rng(13),
+                                     layer_norm=layer_norm)
         policy = make_policy(seed=14, widths=(6, 6))
         states = np.random.default_rng(9).normal(size=(5, 2))
         draws = draw_actor_noise(policy, critic, 5, 3, np.random.default_rng(10))

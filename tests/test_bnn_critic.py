@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from rvf import oracles
 from rvf.actor import TanhGaussianPolicy
 from rvf.bnn_critic import (EnsembleCritic, GaussianLastLayer,
-                            critic_loss, draw_critic_noise, kl_to_prior,
+                            critic_loss, draw_critic_noise,
+                            ensemble_critic_losses, kl_to_prior,
                             lcb_alpha, load_critic, pessimistic_target,
                             q_samples, repulsive_term, sample_weights,
                             save_critic, softplus_inverse)
 from rvf.errors import NumericError, ShapeError, UsageError
-from rvf.math_core import forward
+from rvf.math_core import backward, forward
 
 
 def make_critic(members=2, widths=(8, 8), state_dim=2, action_dim=1, seed=0,
@@ -245,6 +246,56 @@ class TestPessimisticTarget:
         assert targets[0] == pytest.approx(expected, abs=1e-10)
 
 
+def _per_member_losses(critic, states, actions, targets, ood_s, ood_a, eta_q,
+                       eta_ood, kl_scale, draws, pooling):
+    """Critic loss terms and gradients one member at a time through
+    math_core.forward/backward, with the head bias as a constant-1 feature."""
+    def evaluate(j, x, z):
+        feats, cache = forward(critic.feature_nets[j], x)
+        phi = np.concatenate([feats, np.ones((x.shape[0], 1))], axis=1)
+        w = critic.heads[j].mean + critic.heads[j].scale * z
+        return phi, w, cache, phi @ w.T
+
+    x = np.concatenate([states, actions], axis=1)
+    x_ood = np.concatenate([ood_s, ood_a], axis=1)
+    M = critic.n_members
+    ood = [evaluate(j, x_ood, draws.z_ood[j]) for j in range(M)]
+    ood_values = np.stack([o[3] for o in ood], axis=1)       # (B_ood, M, n)
+    out = {}
+    for j in range(M):
+        head, net = critic.heads[j], critic.feature_nets[j]
+        phi, w, cache, q = evaluate(j, x, draws.z_data[j])
+        err = q - targets[:, None]
+        dq = (2.0 * eta_q / err.size) * err
+        dw = dq.T @ phi
+        d_mean = dw.sum(axis=0) + eta_q * kl_scale * head.mean
+        d_sigma = (dw * draws.z_data[j]).sum(axis=0) \
+            + eta_q * kl_scale * (head.scale - 1.0 / head.scale)
+        feat_grads, _ = backward(net, cache, dq @ w[:, :-1])
+
+        pool = ood_values if pooling == "joint" else ood_values[:, j:j + 1]
+        flat = pool.reshape(pool.shape[0], -1)
+        std = flat.std(axis=1)
+        dstd = ((flat - flat.mean(axis=1, keepdims=True))
+                / (flat.shape[1] * std[:, None])).reshape(pool.shape)
+        dq_o = (-eta_ood / std.shape[0]) * dstd[:, j if pooling == "joint" else 0]
+        phi_o, w_o, cache_o, _ = ood[j]
+        dw_o = dq_o.T @ phi_o
+        d_mean = d_mean + dw_o.sum(axis=0)
+        d_sigma = d_sigma + (dw_o * draws.z_ood[j]).sum(axis=0)
+        ood_grads, _ = backward(net, cache_o, dq_o @ w_o[:, :-1])
+
+        grads = {f"feature/{k}": g + ood_grads[k] for k, g in feat_grads.items()}
+        grads["head/mean"] = d_mean
+        grads["head/raw_scale"] = d_sigma / (1.0 + np.exp(-head.raw_scale))
+        info = {"bellman": float(np.mean(err ** 2)), "kl": kl_to_prior(head),
+                "ood_std": float(std.mean())}
+        loss = eta_q * (info["bellman"] + kl_scale * info["kl"]) \
+            - eta_ood * info["ood_std"]
+        out[j] = (loss, grads, info)
+    return out
+
+
 class TestCriticLoss:
     def setup_method(self):
         rng = np.random.default_rng(21)
@@ -269,8 +320,10 @@ class TestCriticLoss:
         assert loss == pytest.approx(2.0 * 0.1 * kl_to_prior(critic.heads[0]),
                                      rel=1e-12)
 
-    def test_eta_q_zero_isolates_spread_term(self):
-        loss, _, info = critic_loss(self.critic, 1, self.states, self.actions,
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_eta_q_zero_isolates_spread_term(self, layer_norm):
+        critic = make_critic(members=3, seed=22, layer_norm=layer_norm)
+        loss, _, info = critic_loss(critic, 1, self.states, self.actions,
                                     self.targets, self.ood_s, self.ood_a,
                                     eta_q=0.0, eta_ood=1.7, kl_scale=0.05,
                                     draws=self.draws)
@@ -279,9 +332,8 @@ class TestCriticLoss:
         vals = np.empty((10, 3, 4))
         x = np.concatenate([self.ood_s, self.ood_a], axis=1)
         for j in range(3):
-            feats, _ = forward(self.critic.feature_nets[j], x)
-            w = self.critic.heads[j].mean \
-                + self.critic.heads[j].scale * self.draws.z_ood[j]
+            feats, _ = forward(critic.feature_nets[j], x)
+            w = critic.heads[j].mean + critic.heads[j].scale * self.draws.z_ood[j]
             vals[:, j, :] = feats @ w[:, :-1].T + w[:, -1]
         manual = np.mean([repulsive_term(vals[b]) for b in range(10)])
         assert info["ood_std"] == pytest.approx(manual, rel=1e-12)
@@ -311,6 +363,33 @@ class TestCriticLoss:
 
         numeric = oracles.finite_difference(loss_fn, critic.member_params(0))
         assert oracles.relative_gradient_error(grads, numeric) <= 1e-3
+
+    @pytest.mark.parametrize("pooling", ["joint", "per-member"])
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_matches_per_member_reference(self, pooling, layer_norm):
+        critic = make_critic(members=3, widths=(7, 5), seed=23,
+                             layer_norm=layer_norm)
+        rng = np.random.default_rng(24)
+        for net in critic.feature_nets:
+            for i in range(len(net.ln_gains)):
+                net.ln_gains[i] = rng.uniform(0.5, 1.5, net.ln_gains[i].shape)
+                net.ln_biases[i] = rng.normal(0.0, 0.3, net.ln_biases[i].shape)
+        draws = draw_critic_noise(critic, 4, rng)
+        args = (self.states, self.actions, self.targets, self.ood_s, self.ood_a,
+                1.3, 0.9, 0.05)
+        stacked = ensemble_critic_losses(critic, *args, draws=draws,
+                                         pooling=pooling)
+        reference = _per_member_losses(critic, *args, draws, pooling)
+        for j in range(3):
+            loss, grads, info = stacked[j]
+            ref_loss, ref_grads, ref_info = reference[j]
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            for term in ("bellman", "kl", "ood_std"):
+                assert info[term] == pytest.approx(ref_info[term], rel=1e-12)
+            assert set(grads) == set(ref_grads)
+            for key, ref in ref_grads.items():
+                err = np.linalg.norm(grads[key] - ref)
+                assert err <= 1e-12 * np.linalg.norm(ref), key
 
     def test_min_of_samples_never_exceeds_mean(self):
         qs = q_samples(self.critic, self.states, self.actions, 6,

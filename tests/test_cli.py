@@ -76,6 +76,24 @@ def test_train_eval_uq_pipeline(tmp_path, data_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_uq_report_rejects_nonpositive_pairs(tmp_path, data_path, capsys,
+                                             pairs):
+    config = {"seed": 1, "ensembles": 2, "posterior_samples": 3,
+              "ood_actions_per_state": 2, "batch_size": 8,
+              "gradient_steps": 2, "eval_interval": 2, "eval_episodes": 1,
+              "hidden_widths": [4]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_path),
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["uq-report", "--critic", str(out_dir / "critic.ckpt"),
+                 "--data", str(data_path), "--pairs", pairs]) == 1
+    assert "error: n_pairs must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_green_and_writes_json(tmp_path, capsys):
     json_path = tmp_path / "verify.json"
     assert main(["verify", "--json", str(json_path)]) == 0

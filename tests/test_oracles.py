@@ -131,3 +131,11 @@ class TestReports:
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
         assert len(reports) >= 10
+
+    # The default seed plus seeds whose finite-difference checks once landed
+    # on (or within the FD step of) a relu kink.
+    @pytest.mark.parametrize("seed", [20240901, 15, 36, 20240905, 20240915,
+                                      20240923, 20240927, 20240930])
+    def test_verification_suite_is_green_for_seed(self, seed):
+        failed = [r.name for r in run_verification(seed) if not r.passed]
+        assert failed == []
