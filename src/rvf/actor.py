@@ -10,13 +10,14 @@ entropy penalty; all gradients are hand-derived and finite-difference checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bnn_critic import ensemble_value_grads, ensemble_values
+from .bnn_critic import ensemble_input_grad, ensemble_values
 from .errors import NumericError, ShapeError
-from .math_core import Mlp, Params, backward, forward, load_params, save_params
+from .math_core import (FlatParams, Mlp, Params, backward, forward, load_params,
+                        save_params)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -28,7 +29,11 @@ def _log1m_tanh_sq(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TanhGaussianPolicy:
-    """Squashed-Gaussian actor over a box of actions."""
+    """Squashed-Gaussian actor over a box of actions.
+
+    The trunk's parameters live in one FlatParams, ``params``, keyed and
+    ordered as get_params; the trunk's arrays are views of it.
+    """
 
     trunk: Mlp
     action_dim: int
@@ -36,6 +41,13 @@ class TanhGaussianPolicy:
     action_offset: np.ndarray
     log_std_min: float = -5.0
     log_std_max: float = 2.0
+    params: FlatParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = FlatParams({f"trunk/{k}": v.shape
+                                  for k, v in self.trunk.get_params().items()})
+        self.trunk.bind({k.removeprefix("trunk/"): v
+                         for k, v in self.params.views.items()})
 
     @classmethod
     def init(cls, state_dim: int, action_dim: int, hidden_widths,
@@ -75,10 +87,13 @@ class TanhGaussianPolicy:
         actions, log_probs, _ = _squash(self, mu, log_std, z)
         return actions, log_probs
 
-    def act_deterministic(self, state) -> np.ndarray:
-        """Mode of the policy: offset + scale * tanh(mean)."""
-        mu, _, _ = self.heads(np.atleast_2d(state))
-        return self.action_offset + self.action_scale * np.tanh(mu[0])
+    def act_deterministic(self, states) -> np.ndarray:
+        """Mode of the policy, offset + scale * tanh(mean): one action per row
+        of a (batch, state_dim) array, or one action for one state."""
+        states = np.asarray(states, dtype=np.float64)
+        mu, _, _ = self.heads(states)
+        actions = self.action_offset + self.action_scale * np.tanh(mu)
+        return actions[0] if states.ndim == 1 else actions
 
 
 def _squash(policy: TanhGaussianPolicy, mu, log_std, z):
@@ -183,7 +198,7 @@ def actor_loss(policy: TanhGaussianPolicy, critic, states, beta: float,
     # d(loss)/d(action) through the selected sample of the selected member.
     dvalues = np.zeros_like(flat)
     dvalues[np.arange(B), argmin] = -1.0 / B
-    _, input_grad = ensemble_value_grads(cache, dvalues.reshape(values.shape))
+    input_grad = ensemble_input_grad(cache, dvalues.reshape(values.shape))
     action_grad = input_grad[:, policy.state_dim:]
 
     # Chain into the trunk heads: u = mu + sigma * z, a = offset + scale*tanh(u),

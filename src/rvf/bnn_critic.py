@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .errors import NumericError, ShapeError, UsageError
-from .math_core import _LN_EPS, Mlp, Params, load_params, save_params
+from .math_core import (_LN_EPS, FlatParams, Mlp, Params, assign, load_params,
+                        save_params)
 
 
 def softplus(x):
@@ -30,17 +31,35 @@ def softplus_inverse(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
-@dataclass
 class GaussianLastLayer:
     """Diagonal-Gaussian weight posterior for a linear value head.
 
     mean and raw_scale have length d+1 (the trailing coordinate multiplies a
     constant 1 feature and plays the role of the bias).  The positive scale
     is softplus(raw_scale), so it can approach but never cross zero.
+    Assigning either attribute writes into its array instead of rebinding
+    it, so a head bound into an ensemble's storage keeps viewing it.
     """
 
-    mean: np.ndarray
-    raw_scale: np.ndarray
+    def __init__(self, mean, raw_scale):
+        self._mean = np.array(mean, dtype=np.float64)
+        self._raw_scale = np.array(raw_scale, dtype=np.float64)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self._mean
+
+    @mean.setter
+    def mean(self, value) -> None:
+        assign(self._mean, value, "mean")
+
+    @property
+    def raw_scale(self) -> np.ndarray:
+        return self._raw_scale
+
+    @raw_scale.setter
+    def raw_scale(self, value) -> None:
+        assign(self._raw_scale, value, "raw_scale")
 
     @classmethod
     def init(cls, d: int, rng: np.random.Generator, init_scale: float = 0.05) -> "GaussianLastLayer":
@@ -56,11 +75,17 @@ class GaussianLastLayer:
         return {"mean": self.mean, "raw_scale": self.raw_scale}
 
     def set_params(self, params: Params) -> None:
-        self.mean = np.asarray(params["mean"], dtype=np.float64)
-        self.raw_scale = np.asarray(params["raw_scale"], dtype=np.float64)
+        self.mean = params["mean"]
+        self.raw_scale = params["raw_scale"]
+
+    def bind(self, views: Params) -> None:
+        """Move mean and raw_scale into caller-owned views (see Mlp.bind)."""
+        views["mean"][...] = self._mean
+        views["raw_scale"][...] = self._raw_scale
+        self._mean, self._raw_scale = views["mean"], views["raw_scale"]
 
     def copy(self) -> "GaussianLastLayer":
-        return GaussianLastLayer(self.mean.copy(), self.raw_scale.copy())
+        return GaussianLastLayer(self.mean, self.raw_scale)
 
 
 def sample_weights(layer: GaussianLastLayer, n: int,
@@ -109,7 +134,16 @@ class QSampleBatch:
 
 
 class EnsembleCritic:
-    """M feature networks, each with a Gaussian head, plus target copies."""
+    """M feature networks, each with a Gaussian head, plus target copies.
+
+    All members' online parameters live in one FlatParams, ``params``, laid
+    out key by key in member_params order, each key's block stacked over
+    members: weights (M, din, dout); biases, layer-norm gains and shifts
+    (M, dout); head mean and raw scale (M, d+1).  ``target_params`` holds the
+    target copies in the same layout.  ``feature_nets[j]`` and ``heads[j]``
+    (and their target twins) are member j's views of those vectors, so
+    writing a member's arrays, or assigning them, writes the vectors.
+    """
 
     def __init__(self, state_dim: int, action_dim: int, members: list[Mlp],
                  heads: list[GaussianLastLayer], target_members: list[Mlp],
@@ -121,6 +155,22 @@ class EnsembleCritic:
         self.target_feature_nets = target_members
         self.target_heads = target_heads
         self.d = members[0].widths[-1]
+        M = len(members)
+        shapes = {f"feature/{k}": (M, *v.shape)
+                  for k, v in members[0].get_params().items()}
+        shapes.update({f"head/{k}": (M, *v.shape)
+                       for k, v in heads[0].get_params().items()})
+        self.params = FlatParams(shapes)
+        self.target_params = FlatParams(shapes)
+        for storage, nets, hs in ((self.params, members, heads),
+                                  (self.target_params, target_members,
+                                   target_heads)):
+            for j in range(M):
+                nets[j].bind(_member_views(storage, j, "feature/"))
+                hs[j].bind(_member_views(storage, j, "head/"))
+        n_layers, n_norm = members[0].n_layers, len(members[0].ln_gains)
+        self._stack = _stacked_views(self.params, n_layers, n_norm)
+        self._target_stack = _stacked_views(self.target_params, n_layers, n_norm)
 
     @classmethod
     def init(cls, state_dim: int, action_dim: int, hidden_widths,
@@ -194,26 +244,32 @@ class EnsembleCritic:
 # ---------------------------------------------------------------------------
 # Ensemble evaluation.  Every member's feature net has the same widths and
 # relu units, with affine layer norm on the hidden layers when enabled, so the
-# whole ensemble runs as one stack of broadcasted (M, B, *) matmuls.
-# ensemble_values and ensemble_value_grads are the critic's only forward and
-# backward: sampled values, the critic loss, and the actor's action gradient
-# all go through them.  math_core.forward/backward, one member at a time,
-# remain the reference the tests compare them against.
+# whole ensemble runs as one stack of broadcasted (M, B, *) matmuls on
+# member-stacked views of the critic's flat parameter vectors.
+# ensemble_values is the critic's only forward, ensemble_value_grads (to the
+# parameters) and ensemble_input_grad (to the inputs) its only backward:
+# sampled values, the critic loss, and the actor's action gradient all go
+# through them.  math_core.forward/backward, one member at a time, remain the
+# reference the tests compare them against.
 
-def _stack_nets(nets: list[Mlp]):
-    """Member-stacked parameters: per layer, weights (M, din, dout) and biases
-    (M, 1, dout); per hidden layer, layer-norm gains and shifts (M, 1, dout)
-    (empty lists without layer norm)."""
-    def per_layer(arrays) -> list[np.ndarray]:
-        return [np.array(group) for group in zip(*arrays)]
+def _member_views(storage: FlatParams, j: int, prefix: str) -> Params:
+    """Member j's arrays under one key prefix, as views of the storage."""
+    return {k.removeprefix(prefix): v[j] for k, v in storage.views.items()
+            if k.startswith(prefix)}
 
-    weights = per_layer(net.weights for net in nets)
-    biases = [b[:, None, :] for b in per_layer(net.biases for net in nets)]
-    if not nets[0].layer_norm:
-        return weights, biases, [], []
-    gains = [g[:, None, :] for g in per_layer(net.ln_gains for net in nets)]
-    shifts = [b[:, None, :] for b in per_layer(net.ln_biases for net in nets)]
-    return weights, biases, gains, shifts
+
+def _stacked_views(storage: FlatParams, n_layers: int, n_norm: int):
+    """Member-stacked views for _stacked_forward: per layer, weights
+    (M, din, dout) and biases (M, 1, dout); per normalized hidden layer,
+    layer-norm gains and shifts (M, 1, dout) (empty lists without)."""
+    v = storage.views
+
+    def rows(key: str) -> np.ndarray:
+        return v[key][:, None, :]
+    return ([v[f"feature/w{i}"] for i in range(n_layers)],
+            [rows(f"feature/b{i}") for i in range(n_layers)],
+            [rows(f"feature/ln_g{i}") for i in range(n_norm)],
+            [rows(f"feature/ln_b{i}") for i in range(n_norm)])
 
 
 def _stacked_forward(stack, x: np.ndarray):
@@ -238,11 +294,12 @@ def _stacked_forward(stack, x: np.ndarray):
     return a, (x, pre, post, norms)
 
 
-def _stacked_backward(stack, cache, g: np.ndarray):
+def _stacked_backward(stack, cache, g: np.ndarray, wrt_inputs: bool = False):
     """Backward through _stacked_forward; g has shape (M, B, d_last).
 
     Returns the parameter gradients keyed as in Mlp.get_params, each stacked
-    over members, and the per-member input gradient (M, B, d0).
+    over members; with wrt_inputs, only the per-member input gradient
+    (M, B, d0) instead.  Each caller gets, and pays for, only what it uses.
     """
     weights, _, gains, _ = stack
     x, pre, post, norms = cache
@@ -251,25 +308,22 @@ def _stacked_backward(stack, cache, g: np.ndarray):
         g = g * (pre[i] > 0.0)
         if i < len(gains):
             y, inv_std = norms[i]
-            grads[f"ln_b{i}"] = g.sum(axis=1)
-            grads[f"ln_g{i}"] = (g * y).sum(axis=1)
+            if not wrt_inputs:
+                grads[f"ln_b{i}"] = g.sum(axis=1)
+                grads[f"ln_g{i}"] = (g * y).sum(axis=1)
             gy = g * gains[i]
             g = inv_std * (gy - gy.mean(axis=2, keepdims=True)
                            - y * (gy * y).mean(axis=2, keepdims=True))
-        inp = post[i - 1] if i > 0 else x
-        if inp.ndim == 2:
-            grads[f"w{i}"] = np.matmul(inp.T, g)
-        else:
-            grads[f"w{i}"] = np.matmul(inp.transpose(0, 2, 1), g)
-        grads[f"b{i}"] = g.sum(axis=1)
-        g = np.matmul(g, weights[i].transpose(0, 2, 1))
-    return grads, g
-
-
-def _head_tensors(heads: list[GaussianLastLayer]):
-    """Member-stacked head means, raw scales and scales, each (M, d+1)."""
-    raws = np.array([h.raw_scale for h in heads])
-    return np.array([h.mean for h in heads]), raws, softplus(raws)
+        if not wrt_inputs:
+            inp = post[i - 1] if i > 0 else x
+            if inp.ndim == 2:
+                grads[f"w{i}"] = np.matmul(inp.T, g)
+            else:
+                grads[f"w{i}"] = np.matmul(inp.transpose(0, 2, 1), g)
+            grads[f"b{i}"] = g.sum(axis=1)
+        if wrt_inputs or i > 0:
+            g = np.matmul(g, weights[i].transpose(0, 2, 1))
+    return g if wrt_inputs else grads
 
 
 def _stack_inputs(critic: EnsembleCritic, states, actions) -> np.ndarray:
@@ -297,42 +351,51 @@ def ensemble_values(critic: EnsembleCritic, states, actions, z: np.ndarray,
                     use_target: bool = False) -> tuple[np.ndarray, EnsembleCache]:
     """Value samples phi(s,a)^T w of every member under head noise z
     (members, n, d+1): returns values (B, members, n) and the cache for
-    ensemble_value_grads."""
+    ensemble_value_grads / ensemble_input_grad."""
     x = _stack_inputs(critic, states, actions)
-    nets = critic.target_feature_nets if use_target else critic.feature_nets
-    heads = critic.target_heads if use_target else critic.heads
-    stack = _stack_nets(nets)
+    storage = critic.target_params if use_target else critic.params
+    stack = critic._target_stack if use_target else critic._stack
     feats, cache = _stacked_forward(stack, x)                  # (M, B, d)
-    means, _, scales = _head_tensors(heads)
+    means = storage.views["head/mean"]
+    scales = softplus(storage.views["head/raw_scale"])
     w = means[:, None, :] + scales[:, None, :] * z            # (M, n, d+1)
     q = np.matmul(feats, w[:, :, :-1].transpose(0, 2, 1)) + w[:, None, :, -1]
     # A (B, M, n) view of the (M, B, n) product; the backward transposes back.
     return q.transpose(1, 0, 2), EnsembleCache(stack, cache, w, z)
 
 
-def ensemble_value_grads(cache: EnsembleCache,
-                         dvalues: np.ndarray) -> tuple[Params, np.ndarray]:
-    """Backpropagate dloss/dvalues (B, members, n) through ensemble_values.
+def ensemble_value_grads(cache: EnsembleCache, dvalues: np.ndarray) -> Params:
+    """Backpropagate dloss/dvalues (B, members, n) through ensemble_values
+    to the parameters.
 
-    Returns (grads, input_grad).  grads maps "feature/<param>", "head/mean"
-    and "head/scale" (with respect to softplus(raw_scale)) to arrays stacked
-    over members; input_grad (B, state_dim + action_dim) is the gradient with
-    respect to the concatenated (state, action) input, summed over members.
+    Returns grads mapping "feature/<param>", "head/mean" and "head/scale"
+    (with respect to softplus(raw_scale)) to arrays stacked over members.
     """
     dq = dvalues.transpose(1, 0, 2)                            # (M, B, n)
     feats = cache.activations[2][-1]
     z = cache.z
     dw_feat = np.matmul(dq.transpose(0, 2, 1), feats)          # (M, n, d)
     dw_bias = dq.sum(axis=1)                                   # (M, n)
-    feat_grads, input_grads = _stacked_backward(
-        cache.stack, cache.activations, np.matmul(dq, cache.w[:, :, :-1]))
+    feat_grads = _stacked_backward(cache.stack, cache.activations,
+                                   np.matmul(dq, cache.w[:, :, :-1]))
     grads = {f"feature/{k}": v for k, v in feat_grads.items()}
     grads["head/mean"] = np.concatenate(
         [dw_feat.sum(axis=1), dw_bias.sum(axis=1)[:, None]], axis=1)
     grads["head/scale"] = np.concatenate(
         [(dw_feat * z[:, :, :-1]).sum(axis=1),
          (dw_bias * z[:, :, -1]).sum(axis=1)[:, None]], axis=1)
-    return grads, input_grads.sum(axis=0)
+    return grads
+
+
+def ensemble_input_grad(cache: EnsembleCache, dvalues: np.ndarray) -> np.ndarray:
+    """Backpropagate dloss/dvalues (B, members, n) through ensemble_values
+    to its input: the gradient (B, state_dim + action_dim) with respect to
+    the concatenated (state, action) rows, summed over members."""
+    dq = dvalues.transpose(1, 0, 2)                            # (M, B, n)
+    input_grads = _stacked_backward(cache.stack, cache.activations,
+                                    np.matmul(dq, cache.w[:, :, :-1]),
+                                    wrt_inputs=True)
+    return input_grads.sum(axis=0)
 
 
 def q_samples(critic: EnsembleCritic, states, actions, n: int,
@@ -420,7 +483,9 @@ def ensemble_critic_losses(critic: EnsembleCritic, states, actions, targets,
     Targets are treated as constants.  The spread term pools samples either
     across the whole ensemble ("joint") or per member ("per-member"); in both
     modes member j's gradient only flows through its own samples, features,
-    and head.  Returns {member: (loss, grads, info)}.
+    and head.  Returns {member: (loss, grads, info)}; every info also holds
+    "grad_vector", all members' gradients as one vector in the layout of
+    critic.params, ready for one optimizer step over the whole ensemble.
     """
     if pooling not in ("joint", "per-member"):
         raise UsageError(f"unknown pooling mode {pooling!r}")
@@ -440,10 +505,12 @@ def ensemble_critic_losses(critic: EnsembleCritic, states, actions, targets,
     M, B, n = q.shape
     err = q - targets[None, :, None]
     bellman_each = (err ** 2).mean(axis=(1, 2))
-    grads, _ = ensemble_value_grads(
+    grads = ensemble_value_grads(
         cache, ((2.0 * eta_q / (B * n)) * err).transpose(1, 0, 2))
 
-    means, raws, scales = _head_tensors(critic.heads)         # (M, d+1)
+    means = critic.params.views["head/mean"]                  # (M, d+1)
+    raws = critic.params.views["head/raw_scale"]
+    scales = softplus(raws)
     var = scales ** 2
     kl_each = 0.5 * (var + means ** 2 - 1.0 - np.log(var)).sum(axis=1)
     grads["head/mean"] = grads["head/mean"] + eta_q * kl_scale * means
@@ -465,10 +532,11 @@ def ensemble_critic_losses(critic: EnsembleCritic, states, actions, targets,
             std, g = _pooled_std_grads(q_o.reshape(M * B_ood, 1, n_ood))
             ood_std_each = std.reshape(M, B_ood).mean(axis=1)
             dvalues = g.reshape(M, B_ood, n_ood).transpose(1, 0, 2)
-        grads_o, _ = ensemble_value_grads(cache_o, (-eta_ood / B_ood) * dvalues)
+        grads_o = ensemble_value_grads(cache_o, (-eta_ood / B_ood) * dvalues)
         grads = {k: grads[k] + grads_o[k] for k in grads}
 
     grads["head/raw_scale"] = grads.pop("head/scale") * expit(raws)
+    grad_vector = critic.params.pack(grads)
     losses = eta_q * (bellman_each + kl_scale * kl_each) - eta_ood * ood_std_each
     results = {}
     for j in members:
@@ -478,7 +546,8 @@ def ensemble_critic_losses(critic: EnsembleCritic, states, actions, targets,
             raise NumericError(f"critic loss for member {j} is non-finite ({term} term)")
         results[j] = (float(losses[j]), {k: v[j] for k, v in grads.items()},
                       {"bellman": float(bellman_each[j]), "kl": float(kl_each[j]),
-                       "ood_std": float(ood_std_each[j]), "draws": draws})
+                       "ood_std": float(ood_std_each[j]), "draws": draws,
+                       "grad_vector": grad_vector})
     return results
 
 

@@ -1,11 +1,11 @@
-"""Toy environments, behavior policies, and offline dataset files.
+"""A toy environment, behavior policies, and offline dataset files.
 
-Two environments stand in for the usual benchmark suites: a discrete noisy
-chain whose dynamics come from an explicit linear-feature MDP, and a 1-D
-point mass driven by a bounded force.  Datasets are generated by fixed
-behavior policies (random / mediocre / mixed), stored as a JSON header plus
-little-endian float64 columns, and probed for in-distribution vs
-out-of-distribution state-action pairs.
+A 1-D point mass driven by a bounded force stands in for the usual
+benchmark suites; its step, like the PD controller's action, takes one state
+or a batch of rows, so many episodes can advance in lockstep.  Datasets are
+generated by fixed behavior policies (random / mediocre / mixed), stored as
+a JSON header plus little-endian float64 columns, and probed for
+in-distribution vs out-of-distribution state-action pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .linear_mdp import LinearMdpSpec
 
 BEHAVIOR_POLICIES = ("random", "mediocre", "mixed")
 
@@ -73,14 +72,14 @@ class PointMass1d:
 
     State is (position, velocity); the action is a force in [-1, 1].
     Semi-implicit Euler with dt = 0.1; reward is the negative squared
-    position error minus a small action cost.
+    position error minus a small action cost.  step() advances one state
+    (2,) with one action, or E states (E, 2) with E actions (E, 1) at once.
     """
 
     env_id = "point-mass-1d"
     state_dim = 2
     action_dim = 1
     horizon = 50
-    discrete = False
     action_low = -1.0
     action_high = 1.0
     goal = 1.0
@@ -89,74 +88,30 @@ class PointMass1d:
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([rng.uniform(-0.1, 0.1), 0.0])
 
-    def step(self, state: np.ndarray, action) -> tuple[np.ndarray, float]:
-        force = float(np.clip(np.asarray(action).reshape(-1)[0],
-                              self.action_low, self.action_high))
-        vel = state[1] + self.dt * force
-        pos = state[0] + self.dt * vel
-        reward = -((pos - self.goal) ** 2) - 0.01 * force ** 2
-        return np.array([pos, vel]), reward
-
-
-class LinearChain:
-    """Noisy walk on a line of states, backed by an explicit linear-feature MDP.
-
-    Actions 0/1 try to move left/right and succeed with probability 0.9.
-    Rewards grow toward the right end.  Observations are one-hot states;
-    the stored action is the discrete index.
-    """
-
-    env_id = "linear-chain"
-    n_states = 8
-    n_actions = 2
-    horizon = 20
-    discrete = True
-    state_dim = 8
-    action_dim = 1
-    action_low = 0.0
-    action_high = 1.0
-
-    def __init__(self):
-        S, A = self.n_states, self.n_actions
-        move_prob = 0.9
-        # Feature = the transition distribution itself; anchors are the states.
-        features = np.zeros((S, A, S))
-        for s in range(S):
-            left = max(s - 1, 0)
-            right = min(s + 1, S - 1)
-            features[s, 0, left] += move_prob
-            features[s, 0, s] += 1.0 - move_prob
-            features[s, 1, right] += move_prob
-            features[s, 1, s] += 1.0 - move_prob
-        self.mdp = LinearMdpSpec(
-            n_states=S, n_actions=A, d=S, features=features,
-            reward_weights=np.arange(S) / (S - 1.0),
-            next_state_features=np.eye(S), gamma=0.99, horizon=self.horizon,
-            initial_state=0)
-        self.mdp.validate()
-        self._P = self.mdp.transition_tensor()
-        self._R = self.mdp.reward_table()
-
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return self._one_hot(self.mdp.initial_state)
-
-    def step(self, state: np.ndarray, action, rng: np.random.Generator):
-        s = int(np.argmax(state))
-        a = int(np.asarray(action).reshape(-1)[0])
-        s_next = int(rng.choice(self.n_states, p=self._P[s, a]))
-        return self._one_hot(s_next), float(self._R[s, a])
-
-    def _one_hot(self, s: int) -> np.ndarray:
-        v = np.zeros(self.n_states)
-        v[s] = 1.0
-        return v
+    def step(self, state, action) -> tuple[np.ndarray, np.ndarray]:
+        """(next state, reward) for one state, or (next states (E, 2),
+        rewards (E,)) for a batch; the force is the clipped first action
+        coordinate."""
+        states = np.asarray(state, dtype=np.float64)
+        rows = states.reshape(-1, self.state_dim)
+        force = np.asarray(action, dtype=np.float64).reshape(len(rows), -1)[:, 0]
+        force = np.minimum(np.maximum(force, self.action_low), self.action_high)
+        vel = rows[:, 1] + self.dt * force
+        pos = rows[:, 0] + self.dt * vel
+        # float_power is libm pow, as in scalar float arithmetic; x * x (what
+        # an array's ** 2 computes) differs from it in the last bit for about
+        # 0.1% of inputs, which would change generated datasets.
+        reward = -np.float_power(pos - self.goal, 2) - 0.01 * np.float_power(force, 2)
+        next_states = np.empty_like(rows)
+        next_states[:, 0], next_states[:, 1] = pos, vel
+        if states.ndim == 1:
+            return next_states[0], reward[0]
+        return next_states, reward
 
 
 def make_env(env_id: str):
     if env_id == PointMass1d.env_id:
         return PointMass1d()
-    if env_id == LinearChain.env_id:
-        return LinearChain()
     raise ConfigError(f"unknown environment id {env_id!r}")
 
 
@@ -171,59 +126,72 @@ class PdController:
     kd: float = 2.5
     goal: float = 1.0
 
-    def act_deterministic(self, state) -> np.ndarray:
-        state = np.asarray(state, dtype=np.float64).reshape(-1)
-        force = self.kp * (self.goal - state[0]) - self.kd * state[1]
-        return np.clip(np.array([force]), -1.0, 1.0)
+    def act_deterministic(self, states) -> np.ndarray:
+        """Force (1,) for one state (2,), or forces (E, 1) for states (E, 2)."""
+        states = np.asarray(states, dtype=np.float64)
+        force = self.kp * (self.goal - states[..., 0]) - self.kd * states[..., 1]
+        return np.clip(force[..., None], -1.0, 1.0)
 
 
 MEDIOCRE_CONTROLLER = PdController(kp=0.4, kd=0.9)
 _EPSILON = 0.3
 
 
-def _behavior_action(env, policy_id: str, episode: int, state,
-                     rng: np.random.Generator):
+def _random_steps(env, policy_id: str, episode: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Which steps of one episode take a uniform random action, and those
+    actions (horizon, action_dim).  The behavior policies' random choices do
+    not depend on the state, so they are drawn up front, in the order a
+    step-by-step rollout would draw them."""
     mode = policy_id
     if policy_id == "mixed":
         mode = "mediocre" if episode % 2 == 0 else "random"
-    if env.discrete:
-        greedy = env.n_actions - 1   # head for the rewarding end
-        if mode == "random" or (mode == "mediocre" and rng.random() < _EPSILON):
-            return np.array([float(rng.integers(env.n_actions))])
-        return np.array([float(greedy)])
-    if mode == "random" or (mode == "mediocre" and rng.random() < _EPSILON):
-        return rng.uniform(env.action_low, env.action_high, size=env.action_dim)
-    return MEDIOCRE_CONTROLLER.act_deterministic(state)
+    explore = np.zeros(env.horizon, dtype=bool)
+    actions = np.zeros((env.horizon, env.action_dim))
+    for t in range(env.horizon):
+        if mode == "random" or rng.random() < _EPSILON:
+            explore[t] = True
+            actions[t] = rng.uniform(env.action_low, env.action_high,
+                                     size=env.action_dim)
+    return explore, actions
 
 
 def generate_dataset(env, policy_id: str, episodes: int, seed: int) -> OfflineDataset:
-    """Roll fixed-horizon episodes; the last step of each is flagged done."""
+    """Roll fixed-horizon episodes; the last step of each is flagged done.
+
+    Episode ep draws from its own generator keyed by (seed, ep); all
+    episodes then advance in lockstep, one batched step per time step.
+    """
     if policy_id not in BEHAVIOR_POLICIES:
         raise ConfigError(f"unknown behavior policy {policy_id!r}")
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
-    states, actions, rewards, next_states, dones = [], [], [], [], []
-    for ep in range(episodes):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, ep]))
-        s = env.reset(rng)
-        for t in range(env.horizon):
-            a = _behavior_action(env, policy_id, ep, s, rng)
-            if env.discrete:
-                s_next, r = env.step(s, a, rng)
-            else:
-                s_next, r = env.step(s, a)
-            states.append(s)
-            actions.append(a)
-            rewards.append(r)
-            next_states.append(s_next)
-            dones.append(1.0 if t == env.horizon - 1 else 0.0)
-            s = s_next
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, ep]))
+            for ep in range(episodes)]
+    state = np.array([env.reset(rng) for rng in rngs])        # (E, state_dim)
+    plans = [_random_steps(env, policy_id, ep, rng) for ep, rng in enumerate(rngs)]
+    explore = np.array([p[0] for p in plans])                 # (E, T)
+    random_actions = np.array([p[1] for p in plans])          # (E, T, action_dim)
+    T = env.horizon
+    states = np.empty((episodes, T, env.state_dim))
+    actions = np.empty((episodes, T, env.action_dim))
+    rewards = np.empty((episodes, T))
+    next_states = np.empty((episodes, T, env.state_dim))
+    for t in range(T):
+        action = np.where(explore[:, t, None], random_actions[:, t],
+                          MEDIOCRE_CONTROLLER.act_deterministic(state))
+        states[:, t], actions[:, t] = state, action
+        state, rewards[:, t] = env.step(state, action)
+        next_states[:, t] = state
+    dones = np.zeros((episodes, T))
+    dones[:, -1] = 1.0
     meta = {"env": env.env_id, "policy": policy_id, "seed": seed,
             "episodes": episodes, "horizon": env.horizon,
             "state_dim": env.state_dim, "action_dim": env.action_dim}
-    return OfflineDataset(np.asarray(states), np.asarray(actions),
-                          np.asarray(rewards), np.asarray(next_states),
-                          np.asarray(dones), meta)
+    n = episodes * T
+    return OfflineDataset(states.reshape(n, -1), actions.reshape(n, -1),
+                          rewards.reshape(n), next_states.reshape(n, -1),
+                          dones.reshape(n), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +291,6 @@ def ood_probe_sets(dataset: OfflineDataset, env, policy=None,
     if policy is not None:
         ood_acts = np.stack([np.asarray(policy.act_deterministic(s)).reshape(-1)
                              for s in in_states])
-        return ProbeSet(in_states, in_actions), ProbeSet(in_states.copy(), ood_acts)
-
-    if env.discrete:
-        # Least-frequent action per exact state.
-        ood_acts = np.empty_like(in_actions)
-        all_states = np.argmax(dataset.states, axis=1)
-        for i, s in enumerate(np.argmax(in_states, axis=1)):
-            taken = dataset.actions[all_states == s].reshape(-1)
-            counts = np.bincount(taken.astype(np.int64), minlength=env.n_actions)
-            ood_acts[i] = float(np.argmin(counts))
         return ProbeSet(in_states, in_actions), ProbeSet(in_states.copy(), ood_acts)
 
     bins_all = _state_bins(dataset.states[:, 0])

@@ -146,23 +146,20 @@ def _rng(*key: int) -> np.random.Generator:
 
 def evaluate_policy(env, actor, episodes: int, seed) -> tuple[float, float]:
     """Deterministic-mode rollouts; mean and population std of the
-    undiscounted episode return."""
+    undiscounted episode return.
+
+    Episode ep starts from env.reset(_rng(*seed, ep)); then all episodes
+    advance in lockstep, one batched act_deterministic and env.step per time
+    step over the (episodes, state_dim) rows.
+    """
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
     seed_key = [int(s) for s in np.atleast_1d(seed)]
-    returns = np.empty(episodes)
-    for ep in range(episodes):
-        rng = _rng(*seed_key, ep)
-        state = env.reset(rng)
-        total = 0.0
-        for _ in range(env.horizon):
-            action = actor.act_deterministic(state)
-            if env.discrete:
-                state, reward = env.step(state, action, rng)
-            else:
-                state, reward = env.step(state, action)
-            total += reward
-        returns[ep] = total
+    states = np.array([env.reset(_rng(*seed_key, ep)) for ep in range(episodes)])
+    returns = np.zeros(episodes)
+    for _ in range(env.horizon):
+        states, rewards = env.step(states, actor.act_deterministic(states))
+        returns += rewards
     return float(returns.mean()), float(returns.std())
 
 
@@ -228,8 +225,6 @@ def train(config: TrainConfig, dataset: OfflineDataset,
     """
     config.validate()
     env = make_env(config.env)
-    if env.discrete:
-        raise ConfigError("training needs a continuous-action environment")
     if len(dataset) == 0:
         raise ConfigError("cannot train on an empty dataset")
     meta_ds = int(dataset.meta.get("state_dim", dataset.states.shape[1]))
@@ -247,9 +242,9 @@ def train(config: TrainConfig, dataset: OfflineDataset,
     policy = TanhGaussianPolicy.init(env.state_dim, env.action_dim,
                                      config.hidden_widths, init_rng,
                                      action_scale=scale, action_offset=offset)
-    critic_opt = [AdamState.init(critic.member_params(j), lr=config.critic_lr)
-                  for j in range(critic.n_members)]
-    actor_opt = AdamState.init(policy.get_params(), lr=config.actor_lr)
+    # One optimizer state per model, over its flat parameter vector.
+    critic_opt = AdamState.init(critic.params, lr=config.critic_lr)
+    actor_opt = AdamState.init(policy.params, lr=config.actor_lr)
     kl_scale = 1.0 / len(dataset)
 
     metrics: list[MetricsRecord] = []
@@ -294,24 +289,22 @@ def train(config: TrainConfig, dataset: OfflineDataset,
                 critic, states, actions, targets, ood_s, ood_a,
                 config.eta_q, config.eta_ood, kl_scale, draws=draws,
                 pooling=config.pooling)
-            for j, (_, grads, _) in results.items():
-                new_params, critic_opt[j] = adam_step(
-                    critic.member_params(j), grads, critic_opt[j],
-                    weight_decay=config.weight_decay)
-                critic.set_member_params(j, new_params)
+            grad_vector = results[0][2]["grad_vector"]   # every member's
+            new_critic, critic_opt = adam_step(critic.params, grad_vector,
+                                               critic_opt,
+                                               weight_decay=config.weight_decay)
+            critic.params.vector[:] = new_critic
 
             adraws = draw_actor_noise(policy, critic, config.batch_size,
                                       config.posterior_samples, rng)
             _, agrads, _ = actor_loss(policy, critic, states, config.beta,
                                       draws=adraws)
-            new_pi, actor_opt = adam_step(policy.get_params(), agrads, actor_opt,
-                                          weight_decay=config.weight_decay)
-            policy.set_params(new_pi)
+            new_pi, actor_opt = adam_step(policy.params, policy.params.pack(agrads),
+                                          actor_opt, weight_decay=config.weight_decay)
+            policy.params.vector[:] = new_pi
 
-            for j in range(critic.n_members):
-                critic.set_target_member_params(j, soft_update(
-                    critic.target_member_params(j), critic.member_params(j),
-                    config.rho))
+            critic.target_params.vector[:] = soft_update(
+                critic.target_params, critic.params, config.rho)
 
             if step % config.eval_interval == 0:
                 record(step // config.eval_interval, step)

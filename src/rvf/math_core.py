@@ -1,7 +1,10 @@
-"""Dense MLP forward/backward, Adam, Polyak averaging, parameter serialization.
+"""Dense MLP forward/backward, flat parameter storage, Adam, Polyak
+averaging, parameter serialization.
 
-Everything is float64 and pure: functions take explicit state and return new
-state, so callers can run disjoint networks concurrently and replay any step.
+Everything is float64.  Adam and Polyak are pure: they take explicit state
+and return new state, so callers can replay any step.  A model can keep all
+its parameters in one FlatParams vector, with its named arrays as views of
+it, so that each update is one elementwise pass over the whole model.
 """
 
 from __future__ import annotations
@@ -20,6 +23,54 @@ _HIDDEN_ACTIVATIONS = ("relu", "tanh", "identity")
 
 def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def assign(dst: np.ndarray, value, name: str) -> None:
+    """Write value into dst in place; the shapes must agree exactly."""
+    if np.shape(value) != dst.shape:
+        raise ShapeError(f"value for {name!r} has shape {np.shape(value)}, "
+                         f"parameter has {dst.shape}")
+    dst[...] = value
+
+
+class _Views(list):
+    """A list of parameter arrays whose item assignment writes into the
+    array in place, so the storage they view stays the source of truth."""
+
+    def __setitem__(self, i, value):
+        dst = super().__getitem__(i)
+        assign(dst, value, f"item {i}")
+
+
+class FlatParams:
+    """Named parameter arrays stored in one contiguous float64 vector.
+
+    ``shapes`` fixes the layout: the keys are laid out one after another in
+    its order, and ``views[key]`` is the reshaped slice of ``vector`` that
+    holds ``key``.  Writing through a view writes the vector and vice versa;
+    the vector is never reallocated, so views stay valid for its lifetime.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.shapes = {k: tuple(int(n) for n in s) for k, s in shapes.items()}
+        sizes = [int(np.prod(s, dtype=np.int64)) for s in self.shapes.values()]
+        self.ends = np.cumsum(sizes, dtype=np.int64)
+        self.vector = np.zeros(int(self.ends[-1]) if sizes else 0)
+        self.views: Params = {}
+        for (key, shape), end, size in zip(self.shapes.items(), self.ends, sizes):
+            self.views[key] = self.vector[end - size:end].reshape(shape)
+
+    def key_at(self, index: int) -> str:
+        """The key whose slice holds vector[index]."""
+        return list(self.shapes)[int(np.searchsorted(self.ends, index, side="right"))]
+
+    def pack(self, params: Params) -> np.ndarray:
+        """A new vector in this layout holding params (same keys and shapes)."""
+        for key, shape in self.shapes.items():
+            if np.shape(params[key]) != shape:
+                raise ShapeError(f"{key!r} has shape {np.shape(params[key])}, "
+                                 f"layout has {shape}")
+        return np.concatenate([np.ravel(params[k]) for k in self.shapes])
 
 
 def _activate(name: str, h: np.ndarray) -> np.ndarray:
@@ -95,13 +146,23 @@ class Mlp:
         return params
 
     def set_params(self, params: Params) -> None:
-        for i in range(self.n_layers):
-            self.weights[i] = _as_f64(params[f"w{i}"])
-            self.biases[i] = _as_f64(params[f"b{i}"])
+        """Copy values into the net's arrays (they are never rebound)."""
+        for key, p in self.get_params().items():
+            assign(p, params[key], key)
+
+    def bind(self, views: Params) -> None:
+        """Move the parameters into caller-owned views (same keys and shapes
+        as get_params), e.g. slices of a FlatParams vector.  From then on the
+        views are the net's arrays, and item assignment on its lists
+        (``net.weights[0] = w``) writes into them."""
+        for key, p in self.get_params().items():
+            views[key][...] = p
+        n = len(self.ln_gains)
+        self.weights = _Views(views[f"w{i}"] for i in range(self.n_layers))
+        self.biases = _Views(views[f"b{i}"] for i in range(self.n_layers))
         if self.layer_norm:
-            for i in range(len(self.ln_gains)):
-                self.ln_gains[i] = _as_f64(params[f"ln_g{i}"])
-                self.ln_biases[i] = _as_f64(params[f"ln_b{i}"])
+            self.ln_gains = _Views(views[f"ln_g{i}"] for i in range(n))
+            self.ln_biases = _Views(views[f"ln_b{i}"] for i in range(n))
 
     def copy(self) -> "Mlp":
         return Mlp(self.widths, [w.copy() for w in self.weights],
@@ -200,55 +261,92 @@ def backward(net: Mlp, cache: MlpCache, output_grad) -> tuple[Params, np.ndarray
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for a parameter dict."""
+    """Bias-corrected adaptive-moment optimizer state: moments per key for a
+    parameter dict, or one moment vector each for a FlatParams."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: Params = field(default_factory=dict)
-    v: Params = field(default_factory=dict)
+    m: Params | np.ndarray = field(default_factory=dict)
+    v: Params | np.ndarray = field(default_factory=dict)
 
     @classmethod
-    def init(cls, params: Params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        m = {k: np.zeros_like(p) for k, p in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
+    def init(cls, params: Params | FlatParams, lr=3e-4, beta1=0.9, beta2=0.999,
+             eps=1e-8) -> "AdamState":
+        if isinstance(params, FlatParams):
+            m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
+        else:
+            m = {k: np.zeros_like(p) for k, p in params.items()}
+            v = {k: np.zeros_like(p) for k, p in params.items()}
         return cls(lr, beta1, beta2, eps, 0, m, v)
 
 
-def adam_step(params: Params, grads: Params, state: AdamState,
-              weight_decay: float = 0.0) -> tuple[Params, AdamState]:
-    """One Adam update; decoupled weight decay when weight_decay > 0."""
-    new_params: Params = {}
-    new_m: Params = {}
-    new_v: Params = {}
-    t = state.step + 1
+def _adam_update(p, g, m, v, state: AdamState, t: int, weight_decay: float):
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient for {key!r} has shape {g.shape}, "
-                             f"parameter has {p.shape}")
-        if not np.all(np.isfinite(g)):
+    m = state.beta1 * m + (1.0 - state.beta1) * g
+    v = state.beta2 * v + (1.0 - state.beta2) * g * g
+    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    if weight_decay:
+        update = update + state.lr * weight_decay * p
+    return p - update, m, v
+
+
+def _check_grad(key: str, p: np.ndarray, g: np.ndarray) -> None:
+    if g.shape != p.shape:
+        raise ShapeError(f"gradient for {key!r} has shape {g.shape}, "
+                         f"parameter has {p.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NumericError(f"non-finite gradient for parameter {key!r}")
+
+
+def adam_step(params: Params | FlatParams, grads, state: AdamState,
+              weight_decay: float = 0.0):
+    """One Adam update; decoupled weight decay when weight_decay > 0.
+
+    With a parameter dict, grads is a dict with the same keys and the new
+    parameters come back as a dict.  With a FlatParams, grads is one vector
+    in its layout and the new parameters come back as one such vector: the
+    same elementwise formula in a single pass, with the same per-parameter
+    error messages.  Returns (new parameters, new state).
+    """
+    t = state.step + 1
+    if isinstance(params, FlatParams):
+        grads = _as_f64(grads)
+        if grads.shape != params.vector.shape:
+            raise ShapeError(f"gradient vector has shape {grads.shape}, "
+                             f"parameters have {params.vector.shape}")
+        if not np.all(np.isfinite(grads)):
+            key = params.key_at(int(np.argmin(np.isfinite(grads))))
             raise NumericError(f"non-finite gradient for parameter {key!r}")
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if weight_decay:
-            update = update + state.lr * weight_decay * p
-        new_params[key] = p - update
-        new_m[key] = m
-        new_v[key] = v
+        new_params, new_m, new_v = _adam_update(
+            params.vector, grads, state.m, state.v, state, t, weight_decay)
+    else:
+        new_params, new_m, new_v = {}, {}, {}
+        for key, p in params.items():
+            _check_grad(key, p, grads[key])
+            new_params[key], new_m[key], new_v[key] = _adam_update(
+                p, grads[key], state.m[key], state.v[key], state, t,
+                weight_decay)
     return new_params, AdamState(state.lr, state.beta1, state.beta2, state.eps,
                                  t, new_m, new_v)
 
 
-def soft_update(target_params: Params, online_params: Params, rho: float) -> Params:
-    """Polyak average: target <- rho * target + (1 - rho) * online."""
+def soft_update(target_params: Params | FlatParams,
+                online_params: Params | FlatParams, rho: float):
+    """Polyak average: target <- rho * target + (1 - rho) * online.
+
+    Key by key for two parameter dicts (returns a dict); in one pass over
+    the vectors for two FlatParams of the same layout (returns a vector).
+    """
     if not 0.0 <= rho <= 1.0:
         raise ConfigError(f"rho must lie in [0, 1], got {rho}")
+    if isinstance(target_params, FlatParams):
+        if target_params.shapes != online_params.shapes:
+            raise ShapeError("target/online layouts differ")
+        return rho * target_params.vector + (1.0 - rho) * online_params.vector
     out: Params = {}
     for key, t in target_params.items():
         o = online_params[key]

@@ -39,6 +39,27 @@ class TestSampling:
         assert np.allclose(action, np.tanh(mu[0]))
         assert log_prob is None
 
+    def test_deterministic_batch_matches_rows(self):
+        policy = make_policy(seed=6, action_scale=[0.5], action_offset=[0.25])
+        states = np.random.default_rng(8).normal(size=(9, 2))
+        batch = policy.act_deterministic(states)
+        assert batch.shape == (9, 1)
+        for i in range(9):
+            single = policy.act_deterministic(states[i])
+            assert single.shape == (1,)
+            # one (9, 2) matmul vs nine (1, 2) ones: rounding may differ
+            np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-15)
+
+    def test_trunk_arrays_are_views_of_the_flat_vector(self):
+        policy = make_policy(seed=9)
+        assert list(policy.params.views) == list(policy.get_params())
+        for key, v in policy.get_params().items():
+            assert np.shares_memory(v, policy.params.vector), key
+        policy.trunk.biases[0] = np.full(8, 0.5)
+        assert np.array_equal(policy.params.views["trunk/b0"], np.full(8, 0.5))
+        policy.params.vector[:] = 0.0
+        assert np.array_equal(policy.act_deterministic(np.ones(2)), [0.0])
+
     def test_fixed_seed_reproducible(self):
         policy = make_policy(seed=4)
         state = np.array([1.0, 0.0])

@@ -7,12 +7,13 @@ from rvf import oracles
 from rvf.actor import TanhGaussianPolicy
 from rvf.bnn_critic import (EnsembleCritic, GaussianLastLayer,
                             critic_loss, draw_critic_noise,
-                            ensemble_critic_losses, kl_to_prior,
+                            ensemble_critic_losses, ensemble_input_grad,
+                            ensemble_values, kl_to_prior,
                             lcb_alpha, load_critic, pessimistic_target,
                             q_samples, repulsive_term, sample_weights,
                             save_critic, softplus_inverse)
 from rvf.errors import NumericError, ShapeError, UsageError
-from rvf.math_core import backward, forward
+from rvf.math_core import FlatParams, backward, forward
 
 
 def make_critic(members=2, widths=(8, 8), state_dim=2, action_dim=1, seed=0,
@@ -391,6 +392,40 @@ class TestCriticLoss:
                 err = np.linalg.norm(grads[key] - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref), key
 
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_input_grad_matches_per_member_reference(self, layer_norm):
+        critic = make_critic(members=3, widths=(7, 5), seed=25,
+                             layer_norm=layer_norm)
+        rng = np.random.default_rng(26)
+        for net in critic.feature_nets:
+            for i in range(len(net.ln_gains)):
+                net.ln_gains[i] = rng.uniform(0.5, 1.5, net.ln_gains[i].shape)
+        z = rng.standard_normal((3, 4, critic.d + 1))
+        values, cache = ensemble_values(critic, self.states, self.actions, z)
+        dvalues = rng.normal(size=values.shape)
+        x = np.concatenate([self.states, self.actions], axis=1)
+        ref = np.zeros_like(x)
+        for j in range(3):
+            feats, fcache = forward(critic.feature_nets[j], x)
+            w = critic.heads[j].mean + critic.heads[j].scale * z[j]
+            ref += backward(critic.feature_nets[j], fcache,
+                            dvalues[:, j] @ w[:, :-1])[1]
+        got = ensemble_input_grad(cache, dvalues)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_grad_vector_packs_every_member(self):
+        results = ensemble_critic_losses(
+            self.critic, self.states, self.actions, self.targets, self.ood_s,
+            self.ood_a, 1.0, 1.0, 0.01, draws=self.draws)
+        vector = results[0][2]["grad_vector"]
+        unpacked = FlatParams(self.critic.params.shapes)
+        unpacked.vector[:] = vector
+        for j, (_, grads, info) in results.items():
+            assert info["grad_vector"] is vector
+            assert set(grads) == set(unpacked.views)
+            for key, g in grads.items():
+                assert np.array_equal(unpacked.views[key][j], g), (j, key)
+
     def test_min_of_samples_never_exceeds_mean(self):
         qs = q_samples(self.critic, self.states, self.actions, 6,
                        np.random.default_rng(40))
@@ -453,6 +488,80 @@ class TestCriticLoss:
                                   self.targets, self.ood_s, self.ood_a,
                                   1.0, 1.0, 0.01, draws=info["draws"])
         assert loss1 == loss2
+
+
+class TestFlatStorage:
+    """Members' arrays are views of the critic's flat vectors: writing them
+    in place and assigning them both reach every reader."""
+
+    def _reference_values(self, critic, x, draws, use_target=False):
+        nets = critic.target_feature_nets if use_target else critic.feature_nets
+        heads = critic.target_heads if use_target else critic.heads
+        out = []
+        for j in range(critic.n_members):
+            feats, _ = forward(nets[j], x)
+            w = heads[j].mean + heads[j].scale * draws[j]
+            out.append(feats @ w[:, :-1].T + w[:, -1])
+        return np.stack(out, axis=1)
+
+    def test_member_writes_reach_values_views_and_checkpoint(self, tmp_path):
+        critic = make_critic(members=3, widths=(6, 5), seed=80, layer_norm=True)
+        rng = np.random.default_rng(81)
+        d1 = critic.d + 1
+        # in-place writes
+        critic.heads[1].raw_scale[:] = -2.0
+        critic.feature_nets[2].weights[0][:] = rng.normal(size=(3, 6))
+        critic.target_feature_nets[0].biases[1][:] = 0.25
+        # attribute and item assignments
+        critic.heads[0].mean = rng.normal(size=d1)
+        critic.heads[2].raw_scale = rng.normal(size=d1)
+        critic.feature_nets[1].biases[1] = rng.normal(size=5)
+        critic.feature_nets[0].ln_gains[0] = rng.uniform(0.5, 1.5, 6)
+        critic.target_heads[2].raw_scale = np.full(d1, -1.0)
+
+        views, tviews = critic.params.views, critic.target_params.views
+        assert np.array_equal(views["head/raw_scale"][1], np.full(d1, -2.0))
+        assert np.array_equal(views["head/mean"][0], critic.heads[0].mean)
+        assert np.array_equal(views["feature/b1"][1], critic.feature_nets[1].biases[1])
+        assert np.array_equal(views["feature/ln_g0"][0],
+                              critic.feature_nets[0].ln_gains[0])
+        assert np.array_equal(tviews["feature/b1"][0], np.full(5, 0.25))
+        assert np.array_equal(tviews["head/raw_scale"][2], np.full(d1, -1.0))
+        for j in range(3):
+            for key, v in critic.member_params(j).items():
+                assert np.shares_memory(v, critic.params.vector), key
+            for key, v in critic.target_member_params(j).items():
+                assert np.shares_memory(v, critic.target_params.vector), key
+
+        states = rng.normal(size=(7, 2))
+        actions = rng.uniform(-1, 1, size=(7, 1))
+        x = np.concatenate([states, actions], axis=1)
+        draws = rng.standard_normal((3, 4, d1))
+        for use_target in (False, True):
+            values = q_samples(critic, states, actions, 4, None,
+                               use_target=use_target, draws=draws).values
+            ref = self._reference_values(critic, x, draws, use_target)
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12)
+
+        path = tmp_path / "critic.ckpt"
+        save_critic(path, critic, n_posterior_samples=4)
+        loaded, _ = load_critic(path)
+        for key, v in critic.get_all_params().items():
+            assert np.array_equal(loaded.get_all_params()[key], v), key
+        assert np.array_equal(loaded.params.vector, critic.params.vector)
+        assert np.array_equal(loaded.target_params.vector,
+                              critic.target_params.vector)
+
+    def test_set_member_params_writes_in_place(self):
+        critic = make_critic(members=2, seed=82)
+        vector = critic.params.vector
+        copy = {k: v.copy() for k, v in critic.member_params(1).items()}
+        critic.set_member_params(0, copy)
+        assert critic.params.vector is vector
+        for key, v in critic.member_params(0).items():
+            assert np.array_equal(v, copy[key])
+            assert np.array_equal(critic.params.views[key][0],
+                                  critic.params.views[key][1])
 
 
 class TestCheckpoint:

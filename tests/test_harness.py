@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rvf.bnn_critic import EnsembleCritic
-from rvf.envs_data import PdController, generate_dataset, make_env, ood_probe_sets
+from rvf.envs_data import (OfflineDataset, PdController, generate_dataset,
+                           make_env, ood_probe_sets)
 from rvf.errors import ConfigError
 from rvf.harness import (METRICS_CSV_HEADER, TrainConfig, evaluate_policy,
                          metrics_csv_lines, train, uncertainty_report)
@@ -87,11 +88,13 @@ class TestTrainLoop:
         assert on[-1].ood_std > off[-1].ood_std
 
     def test_dataset_dims_must_match_env(self):
-        chain_ds = generate_dataset(make_env("linear-chain"), "random", 2, seed=0)
+        wide = OfflineDataset(np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(4),
+                              np.zeros((4, 3)), np.array([0.0, 0.0, 0.0, 1.0]))
         with pytest.raises(ConfigError):
-            train(small_config(), chain_ds)
+            train(small_config(), wide)
 
     def test_discrete_env_rejected(self, pm_dataset):
+        # linear-chain, the discrete chain, is gone: now an unknown env id.
         with pytest.raises(ConfigError):
             train(small_config(env="linear-chain"), pm_dataset)
 
@@ -107,23 +110,25 @@ class TestTrainLoop:
 
 
 class _ZeroRewardEnv:
+    """Batch contract: step takes (E, 1) states and (E, 1) actions."""
+
     env_id = "zero"
     state_dim = 1
     action_dim = 1
     horizon = 7
-    discrete = False
     action_low, action_high = -1.0, 1.0
 
     def reset(self, rng):
         return np.zeros(1)
 
-    def step(self, state, action):
-        return state, 0.0
+    def step(self, states, actions):
+        assert states.shape == actions.shape == (len(states), 1)
+        return states, np.zeros(len(states))
 
 
 class _NullActor:
-    def act_deterministic(self, state):
-        return np.zeros(1)
+    def act_deterministic(self, states):
+        return np.zeros((len(states), 1))
 
 
 class TestEvaluatePolicy:
@@ -136,20 +141,25 @@ class TestEvaluatePolicy:
         _, std = evaluate_policy(env, PdController(), 1, seed=5)
         assert std == 0.0
 
-    def test_matches_independent_simulation(self):
-        # re-simulate the rollout arithmetic by hand
+    @pytest.mark.parametrize("episodes", [1, 7])
+    def test_matches_independent_simulation(self, episodes):
+        # re-simulate the rollout arithmetic by hand, one episode at a time
         env = make_env("point-mass-1d")
         ctrl = PdController(kp=1.1, kd=1.7)
-        mean, _ = evaluate_policy(env, ctrl, 1, seed=9)
-        rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
-        pos, vel = rng.uniform(-0.1, 0.1), 0.0
-        total = 0.0
-        for _ in range(50):
-            force = float(np.clip(1.1 * (1.0 - pos) - 1.7 * vel, -1.0, 1.0))
-            vel = vel + 0.1 * force
-            pos = pos + 0.1 * vel
-            total += -((pos - 1.0) ** 2) - 0.01 * force ** 2
-        assert mean == pytest.approx(total, abs=1e-9)
+        mean, std = evaluate_policy(env, ctrl, episodes, seed=9)
+        totals = []
+        for ep in range(episodes):
+            rng = np.random.default_rng(np.random.SeedSequence([9, ep]))
+            pos, vel = rng.uniform(-0.1, 0.1), 0.0
+            total = 0.0
+            for _ in range(50):
+                force = float(np.clip(1.1 * (1.0 - pos) - 1.7 * vel, -1.0, 1.0))
+                vel = vel + 0.1 * force
+                pos = pos + 0.1 * vel
+                total += -((pos - 1.0) ** 2) - 0.01 * force ** 2
+            totals.append(total)
+        assert mean == pytest.approx(np.mean(totals), rel=1e-12, abs=1e-12)
+        assert std == pytest.approx(np.std(totals), rel=1e-12, abs=1e-12)
 
 
 class TestUncertaintyReport:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvf.errors import ConfigError, FormatError, NumericError, ShapeError, UsageError
-from rvf.math_core import (AdamState, Mlp, adam_step, backward, forward,
-                           load_params, save_params, soft_update)
+from rvf.math_core import (AdamState, FlatParams, Mlp, adam_step, backward,
+                           forward, load_params, save_params, soft_update)
 from rvf.oracles import finite_difference, relative_gradient_error
 
 
@@ -168,6 +168,101 @@ class TestAdam:
         _, state = adam_step(params, {"w": np.ones(1)}, state)
         _, state = adam_step(params, {"w": np.ones(1)}, state)
         assert state.step == 2
+
+
+def _per_key_adam(params, grads, m, v, t, lr, weight_decay,
+                  b1=0.9, b2=0.999, eps=1e-8):
+    """The Adam formula written out key by key."""
+    out = {}
+    for k, p in params.items():
+        m[k] = b1 * m[k] + (1.0 - b1) * grads[k]
+        v[k] = b2 * v[k] + (1.0 - b2) * grads[k] * grads[k]
+        update = lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+        if weight_decay:
+            update = update + lr * weight_decay * p
+        out[k] = p - update
+    return out
+
+
+class TestFlatParams:
+    SHAPES = {"a/w": (3, 4), "a/b": (4,), "head": (2, 5), "s": ()}
+
+    def _random(self, rng):
+        return {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+
+    def test_views_share_the_vector_in_key_order(self):
+        flat = FlatParams(self.SHAPES)
+        assert flat.vector.shape == (12 + 4 + 10 + 1,)
+        flat.views["head"][1, 2] = 7.0
+        assert flat.vector[12 + 4 + 5 + 2] == 7.0
+        assert [flat.key_at(i) for i in (0, 11, 12, 15, 16, 25, 26)] == \
+            ["a/w", "a/w", "a/b", "a/b", "head", "head", "s"]
+        params = self._random(np.random.default_rng(0))
+        vec = flat.pack(params)
+        assert np.array_equal(vec[12:16], params["a/b"])
+        with pytest.raises(ShapeError):
+            flat.pack({**params, "a/b": np.zeros(5)})
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_adam_and_polyak_equal_per_key_formula(self, weight_decay):
+        rng = np.random.default_rng(1)
+        params = self._random(rng)
+        flat = FlatParams(self.SHAPES)
+        flat.vector[:] = flat.pack(params)
+        dict_state = AdamState.init(params, lr=3e-3)
+        flat_state = AdamState.init(flat, lr=3e-3)
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros(s) for k, s in self.SHAPES.items()}
+        ref_v = {k: np.zeros(s) for k, s in self.SHAPES.items()}
+        for t in range(1, 6):
+            grads = self._random(rng)
+            ref = _per_key_adam(ref, grads, ref_m, ref_v, t, 3e-3, weight_decay)
+            params, dict_state = adam_step(params, grads, dict_state,
+                                           weight_decay=weight_decay)
+            new, flat_state = adam_step(flat, flat.pack(grads), flat_state,
+                                        weight_decay=weight_decay)
+            flat.vector[:] = new
+            for k in self.SHAPES:
+                assert np.array_equal(params[k], ref[k]), k
+                assert np.array_equal(flat.views[k], ref[k]), k
+            assert np.array_equal(flat_state.m, flat.pack(ref_m))
+            assert np.array_equal(flat_state.v, flat.pack(ref_v))
+        assert flat_state.step == 5
+
+        online = self._random(rng)
+        flat_online = FlatParams(self.SHAPES)
+        flat_online.vector[:] = flat.pack(online)
+        expected = {k: 0.995 * ref[k] + (1.0 - 0.995) * online[k]
+                    for k in self.SHAPES}
+        by_key = soft_update(ref, online, 0.995)
+        assert all(np.array_equal(by_key[k], expected[k]) for k in self.SHAPES)
+        assert np.array_equal(soft_update(flat, flat_online, 0.995),
+                              flat.pack(expected))
+
+    def test_flat_nonfinite_gradient_names_parameter(self):
+        flat = FlatParams(self.SHAPES)
+        grads = np.zeros_like(flat.vector)
+        grads[13] = np.nan
+        with pytest.raises(NumericError, match="a/b"):
+            adam_step(flat, grads, AdamState.init(flat))
+        with pytest.raises(ShapeError):
+            adam_step(flat, np.zeros(3), AdamState.init(flat))
+
+    def test_bound_mlp_writes_through_to_storage(self):
+        net = make_net((3, 4, 2), seed=2, layer_norm=True)
+        before = {k: v.copy() for k, v in net.get_params().items()}
+        flat = FlatParams({k: v.shape for k, v in before.items()})
+        net.bind(flat.views)
+        assert all(np.array_equal(flat.views[k], before[k]) for k in before)
+        net.ln_gains[0][:] = 3.0                   # in-place write
+        assert np.array_equal(flat.views["ln_g0"], np.full(4, 3.0))
+        net.set_params({**before, "b0": np.full(4, 0.5)})
+        assert np.array_equal(flat.views["b0"], np.full(4, 0.5))
+        assert np.array_equal(flat.views["w1"], before["w1"])
+        net.weights[1] = np.ones((4, 2))          # item assignment
+        assert np.array_equal(flat.views["w1"], np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            net.weights[0] = np.ones((2, 2))
 
 
 class TestSoftUpdate:
