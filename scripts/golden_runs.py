@@ -27,21 +27,11 @@ import sys
 import tempfile
 
 from rvf.cli import main as rvf_main
+from rvf.study import ARMS, study_config
 
-STUDY_CONFIG = {
-    "env": "point-mass-1d", "seed": 3, "ensembles": 3, "posterior_samples": 10,
-    "ood_actions_per_state": 10, "eta_q": 5.0, "eta_ood": 3.0, "beta": 0.2,
-    "gamma": 0.99, "rho": 0.995, "batch_size": 64, "gradient_steps": 500,
-    "eval_interval": 100, "eval_episodes": 5, "hidden_widths": [32, 32],
-}
-
-CONFIGS = {
-    "full": {},
-    "no_repulsion": {"eta_ood": 0.0},
-    "no_pessimism": {"ensembles": 1, "posterior_samples": 1, "eta_ood": 0.0},
-    "per_member": {"pooling": "per-member"},
-    "layer_norm": {"layer_norm": True},
-}
+CONFIGS = {**{arm: (arm, {}) for arm in ARMS},
+           "per_member": ("full", {"pooling": "per-member"}),
+           "layer_norm": ("full", {"layer_norm": True})}
 
 # metrics.csv columns step, bellman, kl, ood_std, in_dist_std
 TRAINING_COLUMNS = 5
@@ -80,10 +70,10 @@ def golden_runs(work_dir: str) -> dict:
     _run(["gen-data", "--env", "point-mass-1d", "--policy", "mediocre",
           "--episodes", "50", "--seed", "7", "--out", data])
     out = {}
-    for name, overrides in CONFIGS.items():
+    for name, (arm, overrides) in CONFIGS.items():
         config = os.path.join(work_dir, f"{name}.json")
-        with open(config, "w") as f:
-            json.dump({**STUDY_CONFIG, **overrides}, f, indent=2)
+        study_config(3, arm, gradient_steps=500, eval_interval=100,
+                     **overrides).save(config)
         run_dir = os.path.join(work_dir, name)
         _run(["train", "--config", config, "--data", data, "--out", run_dir])
         out[name] = fingerprint(run_dir)

@@ -13,9 +13,8 @@ import argparse
 
 import numpy as np
 
-from rvf.linear_mdp import (pessimistic_lsvi, random_linear_mdp,
-                            rollout_episodes, suboptimality_gap,
-                            xi_quantifier_check)
+from rvf.linear_mdp import random_linear_mdp, xi_quantifier_check
+from rvf.study import value_gap_trials
 
 
 def main() -> None:
@@ -44,16 +43,9 @@ def main() -> None:
     tau_hat = float(report.tau_grid[np.argmax(report.tuple_coverage >= 0.95)])
     print(f"\ncalibrated penalty scale: tau = {tau_hat}")
 
-    held = 0
-    gaps, bounds = [], []
-    for trial in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([99, trial]))
-        batch = rollout_episodes(mdp, behavior, args.episodes, rng)
-        policy, penalties = pessimistic_lsvi(mdp, batch, args.ridge, tau_hat)
-        gap, bound = suboptimality_gap(mdp, policy, tau_hat * penalties)
-        held += gap <= bound
-        gaps.append(gap)
-        bounds.append(bound)
+    gaps, bounds = value_gap_trials(mdp, behavior, args.episodes, args.ridge,
+                                    tau_hat, args.trials)
+    held = int(np.sum(gaps <= bounds))
     print(f"value gap <= penalty bound in {held}/{args.trials} trials")
     print(f"mean gap {np.mean(gaps):.4f}, mean bound {np.mean(bounds):.4f}")
 

@@ -1,8 +1,8 @@
 """Point-mass study: full training vs the no-repulsion and no-pessimism arms.
 
-For each seed this generates a mediocre-behavior dataset, trains three
-configurations on it, and reports evaluation returns plus the in-dist/OOD
-uncertainty ratio for each.  Writes a JSON summary.
+For each seed this generates a mediocre-behavior dataset, trains the three
+arms of rvf.study on it in worker processes, and reports evaluation returns
+plus the in-dist/OOD uncertainty ratio for each.  Writes a JSON summary.
 
 Usage: python scripts/run_pointmass_study.py [--seeds 0 1 2] [--steps 50000]
                                              [--out study.json]
@@ -10,62 +10,26 @@ Usage: python scripts/run_pointmass_study.py [--seeds 0 1 2] [--steps 50000]
 
 import argparse
 import json
-import time
 
-from rvf.envs_data import generate_dataset, make_env, ood_probe_sets
-from rvf.harness import TrainConfig, evaluate_policy, train, uncertainty_report
-
-
-def base_config(seed: int, steps: int) -> TrainConfig:
-    return TrainConfig(
-        env="point-mass-1d", seed=seed, ensembles=3, posterior_samples=10,
-        ood_actions_per_state=10, eta_q=5.0, eta_ood=3.0, beta=0.2,
-        gamma=0.99, rho=0.995, batch_size=64, gradient_steps=steps,
-        eval_interval=max(steps // 10, 1), eval_episodes=5,
-        hidden_widths=(32, 32))
-
-
-ARMS = {
-    "full": {},
-    "no_repulsion": {"eta_ood": 0.0},
-    "no_pessimism": {"ensembles": 1, "posterior_samples": 1, "eta_ood": 0.0},
-}
-
-
-def run_seed(seed: int, steps: int) -> dict:
-    env = make_env("point-mass-1d")
-    dataset = generate_dataset(env, "mediocre", episodes=200, seed=seed)
-    probe_in, probe_ood = ood_probe_sets(dataset, env, n_pairs=256, seed=0)
-    out = {"behavior_return": float(dataset.episode_returns().mean())}
-    for arm, overrides in ARMS.items():
-        cfg = base_config(seed, steps)
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        t0 = time.perf_counter()
-        result = train(cfg, dataset)
-        ret_mean, ret_std = evaluate_policy(env, result.policy, 10,
-                                            [seed, 12345])
-        report = uncertainty_report(result.critic, probe_in, probe_ood,
-                                    cfg.posterior_samples)
-        out[arm] = {
-            "eval_return": ret_mean, "eval_return_std": ret_std,
-            "in_dist_std": report["in_dist_std"],
-            "ood_std": report["ood_std"], "ratio": report["ratio"],
-            "seconds": round(time.perf_counter() - t0, 1),
-        }
-        print(f"seed {seed} {arm}: return {ret_mean:.2f} "
-              f"ratio {report['ratio'] if report['ratio'] else 'null'} "
-              f"({out[arm]['seconds']}s)", flush=True)
-    return out
+from rvf.study import ARMS, STUDY_CONFIG, run_arms
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--steps", type=int, default=50_000)
+    parser.add_argument("--steps", type=int, default=STUDY_CONFIG["gradient_steps"])
     parser.add_argument("--out", default="pointmass_study.json")
     args = parser.parse_args()
-    summary = {str(seed): run_seed(seed, args.steps) for seed in args.seeds}
+    results = run_arms([(seed, arm) for seed in args.seeds for arm in ARMS],
+                       args.steps)
+    summary = {}
+    for (seed, arm), result in results.items():
+        entry = summary.setdefault(str(seed), {})
+        entry["behavior_return"] = result.pop("behavior_return")
+        entry[arm] = result
+        print(f"seed {seed} {arm}: return {result['eval_return']:.2f} "
+              f"ratio {result['ratio'] if result['ratio'] else 'null'} "
+              f"({result['seconds']}s)")
     with open(args.out, "w") as f:
         json.dump(summary, f, indent=2)
     print(f"wrote {args.out}")

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bnn_critic import ensemble_input_grad, ensemble_values
-from .errors import NumericError, ShapeError
-from .math_core import (FlatParams, Mlp, Params, backward, forward, load_params,
-                        save_params)
+from .errors import FormatError, NumericError, ShapeError
+from .math_core import (FINITE, FINITE_LIST, POSITIVE, WIDTHS, FlatParams, Mlp,
+                        Params, backward, check_checkpoint, check_layout,
+                        forward, load_params, save_params)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -236,13 +237,25 @@ def save_policy(path, policy: TanhGaussianPolicy,
     save_params(path, policy.get_params(), meta)
 
 
+_CHECKPOINT_SCHEMA = {"state_dim": POSITIVE, "action_dim": POSITIVE,
+                      "hidden_widths": WIDTHS, "action_scale": FINITE_LIST,
+                      "action_offset": FINITE_LIST, "log_std_min": FINITE,
+                      "log_std_max": FINITE}
+
+
 def load_policy(path) -> tuple[TanhGaussianPolicy, dict]:
     params, meta = load_params(path)
+    check_checkpoint(meta, "policy", _CHECKPOINT_SCHEMA)
+    for key in ("action_scale", "action_offset"):
+        if len(meta[key]) != meta["action_dim"]:
+            raise FormatError(f"policy checkpoint {key!r} has {len(meta[key])} "
+                              f"entries for {meta['action_dim']} action dims")
     policy = TanhGaussianPolicy.init(
         int(meta["state_dim"]), int(meta["action_dim"]),
         tuple(meta["hidden_widths"]), np.random.default_rng(0),
         np.asarray(meta["action_scale"]), np.asarray(meta["action_offset"]))
     policy.log_std_min = float(meta["log_std_min"])
     policy.log_std_max = float(meta["log_std_max"])
+    check_layout(params, policy.get_params(), "policy")
     policy.set_params(params)
     return policy, meta

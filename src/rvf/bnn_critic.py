@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .errors import NumericError, ShapeError, UsageError
-from .math_core import (_LN_EPS, FlatParams, Mlp, Params, assign, load_params,
+from .errors import FormatError, NumericError, ShapeError, UsageError
+from .math_core import (_LN_EPS, POSITIVE, WIDTHS, FlatParams, Mlp, Params,
+                        assign, check_checkpoint, check_layout, load_params,
                         save_params)
 
 
@@ -582,11 +583,20 @@ def save_critic(path, critic: EnsembleCritic, n_posterior_samples: int,
     save_params(path, critic.get_all_params(), meta)
 
 
+_CHECKPOINT_SCHEMA = {"state_dim": POSITIVE, "action_dim": POSITIVE,
+                      "hidden_widths": WIDTHS, "members": POSITIVE,
+                      "posterior_samples": POSITIVE}
+
+
 def load_critic(path) -> tuple[EnsembleCritic, dict]:
     params, meta = load_params(path)
+    check_checkpoint(meta, "critic", _CHECKPOINT_SCHEMA)
+    if not meta["hidden_widths"]:
+        raise FormatError("critic checkpoint has no hidden layer")
     critic = EnsembleCritic.init(
         int(meta["state_dim"]), int(meta["action_dim"]),
         tuple(meta["hidden_widths"]), int(meta["members"]),
         np.random.default_rng(0), layer_norm=bool(meta.get("layer_norm", False)))
+    check_layout(params, critic.get_all_params(), "critic")
     critic.set_all_params(params)
     return critic, meta

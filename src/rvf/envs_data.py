@@ -3,19 +3,19 @@
 A 1-D point mass driven by a bounded force stands in for the usual
 benchmark suites; its step, like the PD controller's action, takes one state
 or a batch of rows, so many episodes can advance in lockstep.  Datasets are
-generated by fixed behavior policies (random / mediocre / mixed), stored as
-a JSON header plus little-endian float64 columns, and probed for
+generated by fixed behavior policies (random / mediocre / mixed), stored in
+the math_core file envelope (JSON header, float64 columns), and probed for
 in-distribution vs out-of-distribution state-action pairs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
+from .math_core import COUNT, OBJECT, read_envelope, write_envelope
 
 BEHAVIOR_POLICIES = ("random", "mediocre", "mixed")
 
@@ -46,8 +46,9 @@ class OfflineDataset:
         if not (self.states.shape[0] == self.actions.shape[0]
                 == self.next_states.shape[0] == self.dones.shape[0] == n):
             raise ShapeError("dataset columns disagree on row count")
-        if not np.all(np.isfinite(self.rewards)):
-            raise NumericError("non-finite rewards in dataset")
+        for name in ("states", "actions", "rewards", "next_states"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NumericError(f"non-finite {name} in dataset")
         if n and not np.all((self.dones == 0.0) | (self.dones == 1.0)):
             raise ConfigError("done flags must be 0 or 1")
 
@@ -195,11 +196,18 @@ def generate_dataset(env, policy_id: str, episodes: int, seed: int) -> OfflineDa
 
 
 # ---------------------------------------------------------------------------
-# File format: uint64 little-endian header length, JSON header, then float64
-# little-endian columns in fixed order (states, actions, rewards,
+# Dataset files: the math_core envelope, with the row count and dims in the
+# header and the columns in fixed order (states, actions, rewards,
 # next_states, dones).
 
-_HEADER_LEN_BYTES = 8
+_SCHEMA = {"rows": COUNT, "state_dim": COUNT, "action_dim": COUNT,
+           "meta": OBJECT}
+
+
+def _columns(header: dict) -> list[tuple[str, tuple[int, ...]]]:
+    n, ds, da = header["rows"], header["state_dim"], header["action_dim"]
+    return [("states", (n, ds)), ("actions", (n, da)), ("rewards", (n,)),
+            ("next_states", (n, ds)), ("dones", (n,))]
 
 
 def save_dataset(dataset: OfflineDataset, path) -> None:
@@ -208,44 +216,13 @@ def save_dataset(dataset: OfflineDataset, path) -> None:
     da = dataset.actions.shape[1] if n else int(dataset.meta.get("action_dim", 0))
     header = {"kind": "rvf-dataset", "version": 1, "rows": n,
               "state_dim": ds, "action_dim": da, "meta": dataset.meta}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(len(blob).to_bytes(_HEADER_LEN_BYTES, "little"))
-        f.write(blob)
-        for col in (dataset.states, dataset.actions, dataset.rewards,
-                    dataset.next_states, dataset.dones):
-            f.write(np.ascontiguousarray(col, dtype="<f8").tobytes())
+    write_envelope(path, header, (getattr(dataset, name)
+                                  for name, _ in _columns(header)))
 
 
 def load_dataset(path) -> OfflineDataset:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER_LEN_BYTES:
-        raise FormatError("file too short for header length", offset=len(raw))
-    hlen = int.from_bytes(raw[:_HEADER_LEN_BYTES], "little")
-    if len(raw) < _HEADER_LEN_BYTES + hlen:
-        raise FormatError("truncated header", offset=len(raw))
-    try:
-        header = json.loads(raw[_HEADER_LEN_BYTES:_HEADER_LEN_BYTES + hlen])
-    except json.JSONDecodeError as e:
-        raise FormatError(f"corrupt JSON header: {e}", offset=_HEADER_LEN_BYTES) from e
-    if header.get("kind") != "rvf-dataset":
-        raise FormatError("not a dataset file", offset=_HEADER_LEN_BYTES)
-    n, ds, da = header["rows"], header["state_dim"], header["action_dim"]
-    pos = _HEADER_LEN_BYTES + hlen
-    cols = []
-    for name, count in (("states", n * ds), ("actions", n * da), ("rewards", n),
-                        ("next_states", n * ds), ("dones", n)):
-        nbytes = count * 8
-        if len(raw) < pos + nbytes:
-            raise FormatError(f"truncated payload in column {name!r}", offset=len(raw))
-        cols.append(np.frombuffer(raw[pos:pos + nbytes], dtype="<f8").astype(np.float64))
-        pos += nbytes
-    if pos != len(raw):
-        raise FormatError("trailing bytes after payload", offset=pos)
-    return OfflineDataset(cols[0].reshape(n, ds), cols[1].reshape(n, da),
-                          cols[2], cols[3].reshape(n, ds), cols[4],
-                          header.get("meta", {}))
+    header, cols = read_envelope(path, "rvf-dataset", _SCHEMA, _columns)
+    return OfflineDataset(**cols, meta=header["meta"])
 
 
 # ---------------------------------------------------------------------------

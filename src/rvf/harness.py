@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,9 +23,21 @@ from .bnn_critic import (EnsembleCritic, draw_critic_noise,
                          pessimistic_target, pooled_stds, q_samples)
 from .envs_data import OfflineDataset, ProbeSet, make_env
 from .errors import ConfigError, NumericError
-from .math_core import AdamState, adam_step, soft_update
+from .math_core import (FINITE, INT, POSITIVE, AdamState, adam_step, soft_update,
+                        write_atomic)
 
 _POOLING_MODES = ("joint", "per-member")
+
+# The check each TrainConfig field's annotated type gets before any range
+# check: (predicate, what the value must be).  Float fields take JSON ints.
+_FIELD_TYPES = {
+    "int": INT,
+    "float": FINITE,
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "tuple": (lambda x: isinstance(x, (tuple, list)) and len(x) > 0
+              and all(POSITIVE[0](n) for n in x), "a non-empty list of ints >= 1"),
+}
 
 
 @dataclass
@@ -55,6 +67,13 @@ class TrainConfig:
     layer_norm: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            ok, what = _FIELD_TYPES[f.type]
+            if not ok(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {what}, "
+                                  f"got {getattr(self, f.name)!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.ensembles < 1:
             raise ConfigError("ensembles must be >= 1")
         if self.posterior_samples < 1 or self.ood_actions_per_state < 1:
@@ -89,18 +108,26 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**data)
-        cfg.hidden_widths = tuple(cfg.hidden_widths)
+        if isinstance(cfg.hidden_widths, list):
+            cfg.hidden_widths = tuple(cfg.hidden_widths)
+        cfg.validate()
         return cfg
 
     @classmethod
     def load(cls, path) -> "TrainConfig":
         with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+            try:
+                data = json.load(f)
+            except ValueError as e:
+                raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        return cls.from_json_dict(data)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -258,8 +285,8 @@ def train(config: TrainConfig, dataset: OfflineDataset,
         metrics.append(_collect_metrics(config, dataset, env, policy, critic,
                                         row, step, t_start))
         if csv_path is not None:
-            with open(csv_path, "w", newline="") as f:
-                f.write("\n".join(metrics_csv_lines(metrics)) + "\n")
+            write_atomic(csv_path,
+                         ["\n".join(metrics_csv_lines(metrics)).encode() + b"\n"])
 
     record(0, 0)
     try:

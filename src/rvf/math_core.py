@@ -1,15 +1,20 @@
 """Dense MLP forward/backward, flat parameter storage, Adam, Polyak
-averaging, parameter serialization.
+averaging, and the one binary file envelope (parameter and dataset files).
 
 Everything is float64.  Adam and Polyak are pure: they take explicit state
-and return new state, so callers can replay any step.  A model can keep all
+and return new state, so callers can replay any step.  A model keeps all
 its parameters in one FlatParams vector, with its named arrays as views of
 it, so that each update is one elementwise pass over the whole model.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import math
+import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,144 +266,193 @@ def backward(net: Mlp, cache: MlpCache, output_grad) -> tuple[Params, np.ndarray
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state: moments per key for a
-    parameter dict, or one moment vector each for a FlatParams."""
+    """Bias-corrected adaptive-moment optimizer state: one first- and one
+    second-moment vector in the layout of a FlatParams."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: Params | np.ndarray = field(default_factory=dict)
-    v: Params | np.ndarray = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def init(cls, params: Params | FlatParams, lr=3e-4, beta1=0.9, beta2=0.999,
+    def init(cls, params: FlatParams, lr=3e-4, beta1=0.9, beta2=0.999,
              eps=1e-8) -> "AdamState":
-        if isinstance(params, FlatParams):
-            m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
-        else:
-            m = {k: np.zeros_like(p) for k, p in params.items()}
-            v = {k: np.zeros_like(p) for k, p in params.items()}
-        return cls(lr, beta1, beta2, eps, 0, m, v)
+        return cls(lr, beta1, beta2, eps, 0, np.zeros_like(params.vector),
+                   np.zeros_like(params.vector))
 
 
-def _adam_update(p, g, m, v, state: AdamState, t: int, weight_decay: float):
+def adam_step(params: FlatParams, grads, state: AdamState,
+              weight_decay: float = 0.0) -> tuple[np.ndarray, AdamState]:
+    """One Adam update over a FlatParams; decoupled weight decay when
+    weight_decay > 0.
+
+    grads is one vector in the layout of params.  Returns (new parameter
+    vector, new state); a non-finite gradient raises NumericError naming the
+    parameter it belongs to.
+    """
+    grads = _as_f64(grads)
+    if grads.shape != params.vector.shape:
+        raise ShapeError(f"gradient vector has shape {grads.shape}, "
+                         f"parameters have {params.vector.shape}")
+    if not np.all(np.isfinite(grads)):
+        key = params.key_at(int(np.argmin(np.isfinite(grads))))
+        raise NumericError(f"non-finite gradient for parameter {key!r}")
+    t = state.step + 1
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    m = state.beta1 * m + (1.0 - state.beta1) * g
-    v = state.beta2 * v + (1.0 - state.beta2) * g * g
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
     update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     if weight_decay:
-        update = update + state.lr * weight_decay * p
-    return p - update, m, v
+        update = update + state.lr * weight_decay * params.vector
+    return params.vector - update, AdamState(state.lr, state.beta1, state.beta2,
+                                             state.eps, t, m, v)
 
 
-def _check_grad(key: str, p: np.ndarray, g: np.ndarray) -> None:
-    if g.shape != p.shape:
-        raise ShapeError(f"gradient for {key!r} has shape {g.shape}, "
-                         f"parameter has {p.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient for parameter {key!r}")
-
-
-def adam_step(params: Params | FlatParams, grads, state: AdamState,
-              weight_decay: float = 0.0):
-    """One Adam update; decoupled weight decay when weight_decay > 0.
-
-    With a parameter dict, grads is a dict with the same keys and the new
-    parameters come back as a dict.  With a FlatParams, grads is one vector
-    in its layout and the new parameters come back as one such vector: the
-    same elementwise formula in a single pass, with the same per-parameter
-    error messages.  Returns (new parameters, new state).
-    """
-    t = state.step + 1
-    if isinstance(params, FlatParams):
-        grads = _as_f64(grads)
-        if grads.shape != params.vector.shape:
-            raise ShapeError(f"gradient vector has shape {grads.shape}, "
-                             f"parameters have {params.vector.shape}")
-        if not np.all(np.isfinite(grads)):
-            key = params.key_at(int(np.argmin(np.isfinite(grads))))
-            raise NumericError(f"non-finite gradient for parameter {key!r}")
-        new_params, new_m, new_v = _adam_update(
-            params.vector, grads, state.m, state.v, state, t, weight_decay)
-    else:
-        new_params, new_m, new_v = {}, {}, {}
-        for key, p in params.items():
-            _check_grad(key, p, grads[key])
-            new_params[key], new_m[key], new_v[key] = _adam_update(
-                p, grads[key], state.m[key], state.v[key], state, t,
-                weight_decay)
-    return new_params, AdamState(state.lr, state.beta1, state.beta2, state.eps,
-                                 t, new_m, new_v)
-
-
-def soft_update(target_params: Params | FlatParams,
-                online_params: Params | FlatParams, rho: float):
-    """Polyak average: target <- rho * target + (1 - rho) * online.
-
-    Key by key for two parameter dicts (returns a dict); in one pass over
-    the vectors for two FlatParams of the same layout (returns a vector).
-    """
+def soft_update(target_params: FlatParams, online_params: FlatParams,
+                rho: float) -> np.ndarray:
+    """Polyak average over two FlatParams of the same layout: the new target
+    vector rho * target + (1 - rho) * online."""
     if not 0.0 <= rho <= 1.0:
         raise ConfigError(f"rho must lie in [0, 1], got {rho}")
-    if isinstance(target_params, FlatParams):
-        if target_params.shapes != online_params.shapes:
-            raise ShapeError("target/online layouts differ")
-        return rho * target_params.vector + (1.0 - rho) * online_params.vector
-    out: Params = {}
-    for key, t in target_params.items():
-        o = online_params[key]
-        if o.shape != t.shape:
-            raise ShapeError(f"target/online shapes differ for {key!r}")
-        out[key] = rho * t + (1.0 - rho) * o
-    return out
+    if target_params.shapes != online_params.shapes:
+        raise ShapeError("target/online layouts differ")
+    return rho * target_params.vector + (1.0 - rho) * online_params.vector
 
 
 # ---------------------------------------------------------------------------
-# Parameter file format: uint64 little-endian header length, JSON header with
-# the entry order and shapes, then the raw float64 little-endian payload.
+# File envelope of parameter and dataset files: uint64 little-endian header
+# length, compact sorted-key JSON header, then the raw <f8 arrays in order.
 
 _HEADER_LEN_BYTES = 8
 
 
-def save_params(path, params: Params, meta: dict | None = None) -> None:
-    entries = [{"name": k, "shape": list(v.shape)} for k, v in params.items()]
-    header = {"kind": "rvf-params", "version": 1, "entries": entries,
-              "meta": meta or {}}
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to path + ".tmp", then move that over path.
+
+    A crash or an exception mid-write leaves the previous file at path as it
+    was (the partial temporary file is removed on an exception).
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# Field checks: (predicate, what the field must be).
+INT = (_is_int, "an int")
+COUNT = (lambda x: _is_int(x) and x >= 0, "an int >= 0")
+POSITIVE = (lambda x: _is_int(x) and x >= 1, "an int >= 1")
+WIDTHS = (lambda x: isinstance(x, list) and all(POSITIVE[0](n) for n in x),
+          "a list of ints >= 1")
+FINITE = (lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool)
+          and math.isfinite(x), "a finite number")
+FINITE_LIST = (lambda x: isinstance(x, list) and all(FINITE[0](n) for n in x),
+               "a list of finite numbers")
+OBJECT = (lambda x: isinstance(x, dict), "a JSON object")
+ENTRIES = (lambda x: isinstance(x, list) and all(
+    isinstance(e, dict) and isinstance(e.get("name"), str)
+    and isinstance(e.get("shape"), list) and all(COUNT[0](n) for n in e["shape"])
+    for e in x), "a list of {name: str, shape: [int >= 0, ...]}")
+
+
+def check_fields(obj: dict, schema: dict, where: str, offset=None) -> None:
+    """FormatError unless obj has every field of schema ({name: check}) and
+    each passes its check."""
+    for name, (ok, what) in schema.items():
+        if name not in obj:
+            raise FormatError(f"{where} has no {name!r} field", offset=offset)
+        if not ok(obj[name]):
+            raise FormatError(f"{where} field {name!r} must be {what}, "
+                              f"got {repr(obj[name])[:60]}", offset=offset)
+
+
+def write_envelope(path, header: dict, arrays) -> None:
+    """Write header and the arrays, as float64 in order, as one file."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(len(blob).to_bytes(_HEADER_LEN_BYTES, "little"))
-        f.write(blob)
-        for v in params.values():
-            f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    write_atomic(path, itertools.chain(
+        [len(blob).to_bytes(_HEADER_LEN_BYTES, "little"), blob],
+        (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)))
 
 
-def load_params(path) -> tuple[Params, dict]:
+def read_envelope(path, kind: str, schema: dict, layout) -> tuple[dict, Params]:
+    """(header, {name: float64 array}) from a write_envelope file whose
+    header is a JSON object of this kind that passes check_fields(schema), and
+    whose payload holds exactly the (name, shape) arrays layout(header) lists."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER_LEN_BYTES:
         raise FormatError("file too short for header length", offset=len(raw))
-    hlen = int.from_bytes(raw[:_HEADER_LEN_BYTES], "little")
-    if len(raw) < _HEADER_LEN_BYTES + hlen:
+    pos = _HEADER_LEN_BYTES + int.from_bytes(raw[:_HEADER_LEN_BYTES], "little")
+    if len(raw) < pos:
         raise FormatError("truncated header", offset=len(raw))
     try:
-        header = json.loads(raw[_HEADER_LEN_BYTES:_HEADER_LEN_BYTES + hlen])
-    except json.JSONDecodeError as e:
+        header = json.loads(raw[_HEADER_LEN_BYTES:pos])
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"corrupt JSON header: {e}", offset=_HEADER_LEN_BYTES) from e
-    if header.get("kind") != "rvf-params":
-        raise FormatError("not a parameter file", offset=_HEADER_LEN_BYTES)
-    params: Params = {}
-    pos = _HEADER_LEN_BYTES + hlen
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise FormatError(f"not an {kind} file", offset=_HEADER_LEN_BYTES)
+    check_fields(header, schema, "header", offset=_HEADER_LEN_BYTES)
+    arrays: Params = {}
+    for name, shape in layout(header):
+        nbytes = 8 * math.prod(shape)
         if len(raw) < pos + nbytes:
-            raise FormatError(f"truncated payload for {entry['name']!r}", offset=len(raw))
+            raise FormatError(f"truncated payload in {name!r}", offset=len(raw))
         flat = np.frombuffer(raw[pos:pos + nbytes], dtype="<f8")
-        params[entry["name"]] = flat.reshape(shape).astype(np.float64)
+        try:
+            arrays[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as e:   # e.g. (0, 2**70): empty, but no ndarray
+            raise FormatError(f"shape {shape} of {name!r}: {e}",
+                              offset=_HEADER_LEN_BYTES) from e
         pos += nbytes
     if pos != len(raw):
         raise FormatError("trailing bytes after payload", offset=pos)
-    return params, header.get("meta", {})
+    return header, arrays
+
+
+def save_params(path, params: Params, meta: dict | None = None) -> None:
+    entries = [{"name": k, "shape": list(v.shape)} for k, v in params.items()]
+    write_envelope(path, {"kind": "rvf-params", "version": 1, "entries": entries,
+                          "meta": meta or {}}, params.values())
+
+
+def load_params(path) -> tuple[Params, dict]:
+    header, params = read_envelope(
+        path, "rvf-params", {"entries": ENTRIES, "meta": OBJECT},
+        lambda h: [(e["name"], tuple(e["shape"])) for e in h["entries"]])
+    return params, header["meta"]
+
+
+def check_checkpoint(meta: dict, kind: str, schema: dict) -> None:
+    """FormatError unless a parameter file's meta names it a kind
+    checkpoint and has the fields schema lists."""
+    if meta.get("kind") != kind:
+        raise FormatError(f"not a {kind} checkpoint (its meta kind is "
+                          f"{meta.get('kind')!r})")
+    check_fields(meta, schema, f"{kind} checkpoint meta")
+
+
+def check_layout(params: Params, model: Params, kind: str) -> None:
+    """FormatError unless params has exactly the model's keys and shapes."""
+    odd = sorted(params.keys() ^ model.keys())
+    if odd:
+        where = "has no" if odd[0] in model else "has an unexpected"
+        raise FormatError(f"{kind} checkpoint {where} entry {odd[0]!r}")
+    for key, p in model.items():
+        if params[key].shape != p.shape:
+            raise FormatError(f"{kind} checkpoint entry {key!r} has shape "
+                              f"{params[key].shape}, the model its meta "
+                              f"describes has {p.shape}")

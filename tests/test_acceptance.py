@@ -2,14 +2,12 @@
 
 Criteria 1-7 are exact-identity / Monte-Carlo checks and finish in seconds.
 Criteria 8-10 train full point-mass runs (several minutes each; results are
-cached and shared between criteria, and criteria 8-9 train theirs two at a
-time in worker processes).  Each test prints one pass/fail line;
+cached and shared between criteria, and criteria 8-9 train theirs in
+worker processes, one per core).  Each test prints one pass/fail line;
 run with `pytest tests/test_acceptance.py -v -s` to see them live.
 """
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,16 +16,13 @@ from rvf import oracles
 from rvf.actor import TanhGaussianPolicy, actor_loss, draw_actor_noise
 from rvf.bnn_critic import (EnsembleCritic, critic_loss, draw_critic_noise,
                             lcb_alpha)
-from rvf.envs_data import generate_dataset, make_env, ood_probe_sets
-from rvf.harness import (TrainConfig, evaluate_policy, train,
-                         uncertainty_report)
-from rvf.linear_mdp import (FeatureDataset, lsvi_solve, pessimistic_lsvi,
-                            posterior_std_check, random_linear_mdp,
-                            rollout_episodes, suboptimality_gap,
-                            xi_quantifier_check)
+from rvf.envs_data import generate_dataset, make_env
+from rvf.harness import train
+from rvf.linear_mdp import (FeatureDataset, lsvi_solve, posterior_std_check,
+                            random_linear_mdp, xi_quantifier_check)
+from rvf.study import run_arms, study_config, value_gap_trials
 
 SEEDS = (0, 1, 2)
-TRAIN_STEPS = 50_000
 
 
 def _report(name: str, ok: bool, elapsed: float, limit: float, detail: str):
@@ -37,62 +32,14 @@ def _report(name: str, ok: bool, elapsed: float, limit: float, detail: str):
     assert elapsed < limit, f"{name} runtime {elapsed:.1f}s over limit {limit}s"
 
 
-def study_config(seed: int, **overrides) -> TrainConfig:
-    cfg = TrainConfig(env="point-mass-1d", seed=seed, ensembles=3,
-                      posterior_samples=10, ood_actions_per_state=10,
-                      eta_q=5.0, eta_ood=3.0, beta=0.2, gamma=0.99, rho=0.995,
-                      batch_size=64, gradient_steps=TRAIN_STEPS,
-                      eval_interval=1000, eval_episodes=5,
-                      hidden_widths=(32, 32))
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
-
-
-ARM_OVERRIDES = {
-    "full": {},
-    "no_repulsion": {"eta_ood": 0.0},
-    "no_pessimism": {"ensembles": 1, "posterior_samples": 1, "eta_ood": 0.0},
-}
-
-
 @pytest.fixture(scope="module")
 def study_cache():
     return {}
 
 
-def _train_arm(key: tuple[int, str]) -> dict:
-    seed, arm = key
-    env = make_env("point-mass-1d")
-    dataset = generate_dataset(env, "mediocre", episodes=200, seed=seed)
-    cfg = study_config(seed, **ARM_OVERRIDES[arm])
-    result = train(cfg, dataset)
-    probe_in, probe_ood = ood_probe_sets(dataset, env, n_pairs=256, seed=0)
-    ret_mean, _ = evaluate_policy(env, result.policy, 10, [seed, 12345])
-    report = uncertainty_report(result.critic, probe_in, probe_ood,
-                                cfg.posterior_samples)
-    return {"return": ret_mean, "ratio": report["ratio"],
-            "behavior_return": float(dataset.episode_returns().mean())}
-
-
 def _study_arms(cache: dict, keys) -> None:
-    """Train the (seed, arm) runs missing from the cache, two at a time.
-
-    Every run is deterministic given its seed, so the process it runs in does
-    not change its result.  The workers are fresh interpreters with
-    single-threaded BLAS: these matrices are too small to gain from BLAS
-    threads, and two processes that each start them on two cores run several
-    times slower than one.
-    """
-    missing = [key for key in keys if key not in cache]
-    if not missing:
-        return
-    with pytest.MonkeyPatch.context() as env:
-        env.setenv("OPENBLAS_NUM_THREADS", "1")
-        with ProcessPoolExecutor(
-                min(2, len(missing)),
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            cache.update(zip(missing, pool.map(_train_arm, missing)))
+    """Train the (seed, arm) runs missing from the shared cache."""
+    cache.update(run_arms(key for key in keys if key not in cache))
 
 
 class TestCriterion01PosteriorStdIdentity:
@@ -255,16 +202,10 @@ class TestCriterion07ValueGapBound:
         cov = coverage_report.tuple_coverage
         tau_hat = float(coverage_report.tau_grid[np.argmax(cov >= 0.95)])
         behavior = np.full((6, 3), 1.0 / 3.0)
-        held = 0
         trials = 100
-        for trial in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence([99, trial]))
-            batch = rollout_episodes(theory_mdp, behavior, 100, rng)
-            policy, penalties = pessimistic_lsvi(theory_mdp, batch, ridge=1.0,
-                                                 penalty_scale=tau_hat)
-            gap, bound = suboptimality_gap(theory_mdp, policy,
-                                           tau_hat * penalties)
-            held += gap <= bound
+        gaps, bounds = value_gap_trials(theory_mdp, behavior, episodes=100,
+                                        ridge=1.0, tau=tau_hat, trials=trials)
+        held = int(np.sum(gaps <= bounds))
         ok = held >= 95
         _report("criterion-07 value-gap-bound", ok, time.perf_counter() - t0,
                 300.0, f"bound held in {held}/{trials} trials (tau={tau_hat})")
@@ -299,11 +240,11 @@ class TestCriterion09PolicyQuality:
         for seed in SEEDS:
             full = study_cache[(seed, "full")]
             ablation = study_cache[(seed, "no_pessimism")]
-            ok = ok and full["return"] >= full["behavior_return"] \
-                and full["return"] >= ablation["return"]
-            details.append(f"seed {seed}: full {full['return']:.1f} vs "
+            ok = ok and full["eval_return"] >= full["behavior_return"] \
+                and full["eval_return"] >= ablation["eval_return"]
+            details.append(f"seed {seed}: full {full['eval_return']:.1f} vs "
                            f"behavior {full['behavior_return']:.1f} / "
-                           f"ablation {ablation['return']:.1f}")
+                           f"ablation {ablation['eval_return']:.1f}")
         _report("criterion-09 policy-quality", ok, time.perf_counter() - t0,
                 2700.0, "; ".join(details))
 

@@ -190,15 +190,16 @@ class TestActorLoss:
         critic = make_increasing_critic(state_dim=1)
         policy = make_policy(state_dim=1, widths=(4,), seed=17)
         state = np.array([[0.5]])
-        opt = AdamState.init(policy.get_params(), lr=1e-2)
+        opt = AdamState.init(policy.params, lr=1e-2)
         means = []
         for step in range(40):
             draws = draw_actor_noise(policy, critic, 1, 1,
                                      np.random.default_rng(step))
             _, grads, _ = actor_loss(policy, critic, state, beta=0.0,
                                      draws=draws)
-            new_params, opt = adam_step(policy.get_params(), grads, opt)
-            policy.set_params(new_params)
+            new_params, opt = adam_step(policy.params,
+                                        policy.params.pack(grads), opt)
+            policy.params.vector[:] = new_params
             means.append(float(policy.heads(state)[0][0, 0]))
         diffs = np.diff(np.asarray(means))
         assert np.all(diffs > 0.0)

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from rvf.cli import main
+from rvf.envs_data import load_dataset, save_dataset
+from rvf.math_core import load_params, save_params
 
 
 @pytest.fixture
@@ -76,9 +79,9 @@ def test_train_eval_uq_pipeline(tmp_path, data_path, capsys):
     assert len(lines) == 2
 
 
-@pytest.mark.parametrize("pairs", ["0", "-3"])
-def test_uq_report_rejects_nonpositive_pairs(tmp_path, data_path, capsys,
-                                             pairs):
+@pytest.fixture
+def run_dir(tmp_path, data_path):
+    """A two-step training run's output directory."""
     config = {"seed": 1, "ensembles": 2, "posterior_samples": 3,
               "ood_actions_per_state": 2, "batch_size": 8,
               "gradient_steps": 2, "eval_interval": 2, "eval_episodes": 1,
@@ -88,10 +91,60 @@ def test_uq_report_rejects_nonpositive_pairs(tmp_path, data_path, capsys,
     out_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--data", str(data_path),
                  "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_uq_report_rejects_nonpositive_pairs(run_dir, data_path, capsys,
+                                             pairs):
     capsys.readouterr()
-    assert main(["uq-report", "--critic", str(out_dir / "critic.ckpt"),
+    assert main(["uq-report", "--critic", str(run_dir / "critic.ckpt"),
                  "--data", str(data_path), "--pairs", pairs]) == 1
     assert "error: n_pairs must be >= 1" in capsys.readouterr().err
+
+
+def _exits_1_with(argv, capsys, message) -> None:
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("config_text,nan_state,message", [
+    ('{"ensembles": "3"}', False, "ensembles must be an int"),
+    ('{"critic_lr": Infinity}', False, "critic_lr must be a finite number"),
+    ("{", False, "not valid JSON"),
+    ("{}", True, "non-finite states"),
+])
+def test_train_rejects_malformed_input(tmp_path, data_path, capsys,
+                                       config_text, nan_state, message):
+    if nan_state:
+        dataset = load_dataset(data_path)
+        dataset.states[0, 0] = np.nan
+        save_dataset(dataset, data_path)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(config_text)
+    _exits_1_with(["train", "--config", str(cfg_path), "--data",
+                   str(data_path), "--out", str(tmp_path / "bad-run")],
+                  capsys, message)
+
+
+@pytest.mark.parametrize("command,ckpt,message", [
+    ("eval", "critic.ckpt", "not a policy checkpoint"),
+    ("uq-report", "policy.ckpt", "not a critic checkpoint"),
+    ("uq-report", "list-header.ckpt", "not an rvf-params file"),
+    ("uq-report", "bad-samples.ckpt", "'posterior_samples' must be an int >= 1"),
+])
+def test_wrong_or_corrupt_checkpoint_exits_1(run_dir, data_path, capsys,
+                                             command, ckpt, message):
+    (run_dir / "list-header.ckpt").write_bytes((6).to_bytes(8, "little") + b"[1, 2]")
+    params, meta = load_params(run_dir / "critic.ckpt")
+    save_params(run_dir / "bad-samples.ckpt", params,
+                {**meta, "posterior_samples": "ab"})
+    path = str(run_dir / ckpt)
+    argv = (["eval", "--policy", path] if command == "eval" else
+            ["uq-report", "--critic", path, "--data", str(data_path)])
+    _exits_1_with(argv, capsys, message)
 
 
 def test_verify_green_and_writes_json(tmp_path, capsys):

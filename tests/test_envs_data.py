@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +7,7 @@ from scipy import stats
 from rvf.envs_data import (OfflineDataset, PdController, PointMass1d,
                            generate_dataset, load_dataset, make_env,
                            ood_probe_sets, save_dataset)
-from rvf.errors import ConfigError, FormatError, ShapeError
+from rvf.errors import ConfigError, FormatError, NumericError, ShapeError
 
 
 class TestGeneration:
@@ -153,6 +155,31 @@ class TestFileFormat:
         loaded = load_dataset(path)
         assert len(loaded) == 0
         assert loaded.states.shape == (0, 2)
+
+    @pytest.mark.parametrize("column", ["states", "actions", "rewards",
+                                        "next_states"])
+    def test_nonfinite_column_rejected_on_load(self, tmp_path, dataset, column):
+        getattr(dataset, column)[1] = np.nan     # as a corrupt file holds it
+        path = tmp_path / "d.bin"
+        save_dataset(dataset, path)
+        with pytest.raises(NumericError, match=f"non-finite {column} in"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", "3"), ("rows", -1), ("state_dim", 1.5), ("action_dim", True),
+        ("meta", []), ("rows", None)])
+    def test_header_field_types_checked(self, tmp_path, field, value):
+        header = {"kind": "rvf-dataset", "version": 1, "rows": 0,
+                  "state_dim": 2, "action_dim": 1, "meta": {}}
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        blob = json.dumps(header).encode()
+        path = tmp_path / "d.bin"
+        path.write_bytes(len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(FormatError, match=field):
+            load_dataset(path)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -46,6 +46,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("data", [
+        {"ensembles": "3"}, {"gradient_steps": 1.5}, {"batch_size": 2.0},
+        {"ensembles": True}, {"critic_lr": float("inf")},
+        {"eta_ood": float("nan")}, {"gamma": "0.9"}, {"hidden_widths": "ab"},
+        {"hidden_widths": 5}, {"hidden_widths": []}, {"hidden_widths": [8, 0]},
+        {"layer_norm": 1}, {"pooling": 3}, {"seed": -1}, [["seed", 1]],
+    ])
+    def test_wrong_types_and_nonfinite_values_rejected(self, data):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json_dict(data)
+
     def test_single_member_allowed_for_ablations(self):
         small_config(ensembles=1, posterior_samples=1, eta_ood=0.0).validate()
 

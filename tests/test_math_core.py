@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvf.actor import load_policy
+from rvf.bnn_critic import load_critic
+from rvf.envs_data import load_dataset
 from rvf.errors import ConfigError, FormatError, NumericError, ShapeError, UsageError
 from rvf.math_core import (AdamState, FlatParams, Mlp, adam_step, backward,
-                           forward, load_params, save_params, soft_update)
+                           forward, load_params, save_params, soft_update,
+                           write_atomic)
 from rvf.oracles import finite_difference, relative_gradient_error
 
 
@@ -112,61 +118,71 @@ class TestBackward:
         assert runs[0] == runs[1]
 
 
+def _flat(**arrays) -> FlatParams:
+    """A FlatParams holding the given arrays, in keyword order."""
+    flat = FlatParams({k: np.shape(v) for k, v in arrays.items()})
+    flat.vector[:] = flat.pack({k: np.asarray(v, dtype=np.float64)
+                                for k, v in arrays.items()})
+    return flat
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_and_decays_moments(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = _flat(w=[1.0, -2.0])
         state = AdamState.init(params, lr=0.1)
-        zero = {"w": np.zeros(2)}
+        zero = np.zeros(2)
         new_params, state = adam_step(params, zero, state)
-        assert np.array_equal(new_params["w"], params["w"])
+        assert np.array_equal(new_params, params.vector)
         # seed a moment, then a zero-grad step shrinks it by beta1
-        state.m["w"][:] = 1.0
-        _, state2 = adam_step(new_params, zero, state)
-        assert np.allclose(state2.m["w"], 0.9)
+        state.m[:] = 1.0
+        params.vector[:] = new_params
+        _, state2 = adam_step(params, zero, state)
+        assert np.allclose(state2.m, 0.9)
 
     def test_first_step_magnitude_is_lr_times_sign(self):
         g = np.array([0.3, -7.0, 1e-4])
-        params = {"w": np.zeros(3)}
+        params = _flat(w=np.zeros(3))
         state = AdamState.init(params, lr=1e-3)
-        new_params, _ = adam_step(params, {"w": g}, state)
+        new_params, _ = adam_step(params, g, state)
         # bias correction makes m_hat / sqrt(v_hat) = sign(g) up to eps
-        assert np.allclose(new_params["w"], -1e-3 * np.sign(g), atol=1e-6)
+        assert np.allclose(new_params, -1e-3 * np.sign(g), atol=1e-6)
 
     def test_two_step_trace_matches_hand_computation(self):
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         g1, g2 = 0.7, -0.7
-        params = {"w": np.array([0.5])}
+        params = _flat(w=[0.5])
         state = AdamState.init(params, lr=lr)
-        p1, state = adam_step(params, {"w": np.array([g1])}, state)
-        p2, state = adam_step(p1, {"w": np.array([g2])}, state)
+        p1, state = adam_step(params, np.array([g1]), state)
+        params.vector[:] = p1
+        p2, state = adam_step(params, np.array([g2]), state)
         # hand trace
         m1, v1 = (1 - b1) * g1, (1 - b2) * g1 ** 2
         u1 = lr * (m1 / (1 - b1)) / (np.sqrt(v1 / (1 - b2)) + eps)
         m2, v2 = b1 * m1 + (1 - b1) * g2, b2 * v1 + (1 - b2) * g2 ** 2
         u2 = lr * (m2 / (1 - b1 ** 2)) / (np.sqrt(v2 / (1 - b2 ** 2)) + eps)
-        assert np.allclose(p1["w"], 0.5 - u1, atol=1e-15)
-        assert np.allclose(p2["w"], 0.5 - u1 - u2, atol=1e-15)
+        assert np.allclose(p1, 0.5 - u1, atol=1e-15)
+        assert np.allclose(p2, 0.5 - u1 - u2, atol=1e-15)
         # after the sign flip the update is smaller than the naive lr*sign step
         assert abs(u2) < lr
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = {"ok": np.ones(2), "bad": np.ones(2)}
+        params = _flat(ok=np.ones(2), bad=np.ones(2))
         state = AdamState.init(params)
-        grads = {"ok": np.zeros(2), "bad": np.array([1.0, np.nan])}
+        grads = np.array([0.0, 0.0, 1.0, np.nan])
         with pytest.raises(NumericError, match="bad"):
             adam_step(params, grads, state)
 
     def test_shape_mismatch(self):
-        params = {"w": np.ones(3)}
+        params = _flat(w=np.ones(3))
         state = AdamState.init(params)
         with pytest.raises(ShapeError):
-            adam_step(params, {"w": np.ones(4)}, state)
+            adam_step(params, np.ones(4), state)
 
     def test_step_counter_increments(self):
-        params = {"w": np.ones(1)}
+        params = _flat(w=np.ones(1))
         state = AdamState.init(params)
-        _, state = adam_step(params, {"w": np.ones(1)}, state)
-        _, state = adam_step(params, {"w": np.ones(1)}, state)
+        _, state = adam_step(params, np.ones(1), state)
+        _, state = adam_step(params, np.ones(1), state)
         assert state.step == 2
 
 
@@ -209,7 +225,6 @@ class TestFlatParams:
         params = self._random(rng)
         flat = FlatParams(self.SHAPES)
         flat.vector[:] = flat.pack(params)
-        dict_state = AdamState.init(params, lr=3e-3)
         flat_state = AdamState.init(flat, lr=3e-3)
         ref = {k: p.copy() for k, p in params.items()}
         ref_m = {k: np.zeros(s) for k, s in self.SHAPES.items()}
@@ -217,13 +232,10 @@ class TestFlatParams:
         for t in range(1, 6):
             grads = self._random(rng)
             ref = _per_key_adam(ref, grads, ref_m, ref_v, t, 3e-3, weight_decay)
-            params, dict_state = adam_step(params, grads, dict_state,
-                                           weight_decay=weight_decay)
             new, flat_state = adam_step(flat, flat.pack(grads), flat_state,
                                         weight_decay=weight_decay)
             flat.vector[:] = new
             for k in self.SHAPES:
-                assert np.array_equal(params[k], ref[k]), k
                 assert np.array_equal(flat.views[k], ref[k]), k
             assert np.array_equal(flat_state.m, flat.pack(ref_m))
             assert np.array_equal(flat_state.v, flat.pack(ref_v))
@@ -234,8 +246,6 @@ class TestFlatParams:
         flat_online.vector[:] = flat.pack(online)
         expected = {k: 0.995 * ref[k] + (1.0 - 0.995) * online[k]
                     for k in self.SHAPES}
-        by_key = soft_update(ref, online, 0.995)
-        assert all(np.array_equal(by_key[k], expected[k]) for k in self.SHAPES)
         assert np.array_equal(soft_update(flat, flat_online, 0.995),
                               flat.pack(expected))
 
@@ -268,20 +278,20 @@ class TestFlatParams:
 class TestSoftUpdate:
     @pytest.mark.parametrize("rho,expected", [(1.0, 2.0), (0.0, 4.0), (0.5, 3.0)])
     def test_endpoint_and_midpoint(self, rho, expected):
-        out = soft_update({"w": np.array([2.0])}, {"w": np.array([4.0])}, rho)
-        assert np.allclose(out["w"], expected)
+        out = soft_update(_flat(w=[2.0]), _flat(w=[4.0]), rho)
+        assert np.allclose(out, expected)
 
     @pytest.mark.parametrize("rho", [-0.1, 1.5])
     def test_rho_out_of_range(self, rho):
         with pytest.raises(ConfigError):
-            soft_update({"w": np.ones(1)}, {"w": np.ones(1)}, rho)
+            soft_update(_flat(w=np.ones(1)), _flat(w=np.ones(1)), rho)
 
     @given(st.floats(0.0, 1.0), st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_stays_between_endpoints(self, rho, values):
         target = np.asarray(values)
         online = target[::-1].copy()
-        out = soft_update({"w": target}, {"w": online}, rho)["w"]
+        out = soft_update(_flat(w=target), _flat(w=online), rho)
         lo = np.minimum(target, online) - 1e-12
         hi = np.maximum(target, online) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
@@ -312,3 +322,127 @@ class TestParamsFile:
         path.write_bytes((40).to_bytes(8, "little") + b"x" * 40)
         with pytest.raises(FormatError):
             load_params(path)
+
+    def test_file_is_the_documented_envelope(self, tmp_path):
+        # uint64 LE header length, compact sorted-key JSON header, <f8 payload
+        params = {"w": np.arange(6.0).reshape(2, 3), "s": np.array(2.5)}
+        path = tmp_path / "p.ckpt"
+        save_params(path, params, {"b": 1, "a": [2]})
+        header = {"kind": "rvf-params", "version": 1, "meta": {"b": 1, "a": [2]},
+                  "entries": [{"name": "w", "shape": [2, 3]},
+                              {"name": "s", "shape": []}]}
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        payload = np.concatenate([np.arange(6.0), [2.5]]).astype("<f8").tobytes()
+        assert path.read_bytes() == len(blob).to_bytes(8, "little") + blob + payload
+
+    @pytest.mark.parametrize("header", [
+        {"kind": "rvf-params", "version": 1, "meta": {}},
+        [1, 2],
+        {"kind": "rvf-params", "meta": {}, "entries": [{"name": "w", "shape": "ab"}]},
+        {"kind": "rvf-params", "meta": {}, "entries": [{"name": "w", "shape": [-1]}]},
+        {"kind": "rvf-params", "meta": {}, "entries": [{"name": "w", "shape": [0, 2 ** 70]}]},
+        {"kind": "rvf-params", "meta": {}, "entries": [{"name": 3, "shape": [1]}]},
+        {"kind": "rvf-params", "meta": {}, "entries": {"w": [1]}},
+        {"kind": "rvf-params", "meta": [], "entries": []},
+        {"kind": "rvf-dataset", "meta": {}, "entries": []},
+    ])
+    def test_header_schema_violations_are_format_errors(self, tmp_path, header):
+        path = tmp_path / "p.ckpt"
+        path.write_bytes(_envelope(header) + bytes(8))
+        with pytest.raises(FormatError, match="offset 8"):
+            load_params(path)
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "p.ckpt"
+        save_params(path, {"w": np.ones(3)}, {"version": "old"})
+        before = path.read_bytes()
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("disk went away")
+
+        with pytest.raises(RuntimeError):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ckpt"]
+        save_params(path, {"w": np.zeros(2)}, {"version": "new"})
+        assert load_params(path)[1] == {"version": "new"}
+
+
+def _envelope(header) -> bytes:
+    blob = json.dumps(header).encode()
+    return len(blob).to_bytes(8, "little") + blob
+
+
+def _json_containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=4),
+    _json_containers, max_leaves=8)
+_SIZE = st.integers(-1, 3) | st.integers()
+_DIM = st.integers(-1, 3)
+_FLOATS = st.lists(st.floats(-2, 2), min_size=1, max_size=2)
+# Checkpoint metas that pass every type check (so the loaders go on to build
+# the model and compare layouts), and metas with fields missing or mistyped.
+_VALID_META = st.fixed_dictionaries({
+    "kind": st.sampled_from(["critic", "policy"]),
+    "state_dim": st.integers(1, 2), "action_dim": st.just(1),
+    "members": st.integers(1, 2), "posterior_samples": st.integers(1, 3),
+    "hidden_widths": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    "action_scale": st.just([1.0]), "action_offset": st.just([0.0]),
+    "log_std_min": st.floats(-5, 0), "log_std_max": st.floats(0, 2)},
+    optional={"layer_norm": st.booleans()})
+_META = _VALID_META | st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["critic", "policy"]) | _JSON,
+    "state_dim": _DIM | _JSON, "action_dim": _DIM | _JSON,
+    "members": _DIM | _JSON, "posterior_samples": _DIM | _JSON,
+    "hidden_widths": st.lists(_DIM, max_size=2) | _JSON,
+    "action_scale": _FLOATS | _JSON, "action_offset": _FLOATS | _JSON,
+    "log_std_min": st.floats() | _JSON, "log_std_max": st.floats() | _JSON,
+    "layer_norm": _JSON})
+_ENTRIES = st.lists(st.fixed_dictionaries({
+    "name": st.sampled_from(["trunk/w0", "trunk/b0", "m0/head/mean"]),
+    "shape": st.lists(_SIZE, max_size=2)}), max_size=3)
+# Headers of each kind with fields of the right and wrong types, and plain
+# random JSON.  Header sizes may be huge (a decoder reads no more than the
+# file holds); meta sizes stay small, as the loaders build those models.
+_HEADERS = (
+    st.fixed_dictionaries({"kind": st.just("rvf-params"), "entries": _ENTRIES,
+                           "meta": _META})
+    | st.fixed_dictionaries({"kind": st.just("rvf-dataset")}, optional={
+        "rows": _SIZE | _JSON, "state_dim": _SIZE | _JSON,
+        "action_dim": _SIZE | _JSON, "meta": _JSON})
+    | st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["rvf-params", "rvf-dataset"]) | _JSON,
+        "entries": _ENTRIES | _JSON, "meta": _META | _JSON})
+    | _JSON)
+_DECODERS = (load_params, load_dataset, load_critic, load_policy)
+
+
+def _only_format_errors(path) -> None:
+    for decode in _DECODERS:
+        try:
+            decode(path)
+        except FormatError:
+            pass
+
+
+class TestDecoderFuzz:
+    """Whatever the bytes, the decoders load them or raise FormatError."""
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz-bytes.bin"
+        path.write_bytes(raw)
+        _only_format_errors(path)
+
+    @given(_HEADERS, st.integers(0, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_random_json_headers(self, tmp_path_factory, header, n_floats):
+        path = tmp_path_factory.getbasetemp() / "fuzz-header.bin"
+        path.write_bytes(_envelope(header) + bytes(8 * n_floats))
+        _only_format_errors(path)
